@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -64,3 +66,12 @@ def sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def write_json(path: str, payload) -> None:
+    """Write ``payload`` as indented JSON plus a newline.  The text is built
+    before the file is opened, so a value JSON cannot hold (NaN, inf)
+    raises ``ValueError`` without leaving a truncated file behind."""
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    with open(path, "w") as handle:
+        handle.write(text)

@@ -132,7 +132,10 @@ def fit_platt(
 
     Minimizes the negative log-likelihood plus ``ridge*(A^2+B^2)/2`` with
     Newton-Raphson and step halving; convergence is declared when the
-    gradient max-norm drops to ``tol``.
+    gradient max-norm drops to ``tol``, or when the line search can only
+    accept a step too small to move (A, B) in floating point: that point
+    is a fixed point of the iteration, and ``final_gradient_norm`` may
+    then exceed ``tol``.
 
     ``smooth_targets=True`` replaces the raw 0/1 labels with the classic
     smoothed pseudo-targets (N+ + 1)/(N+ + 2) and 1/(N- + 2); the default
@@ -207,6 +210,8 @@ def fit_platt(
             eta *= 0.5
         else:
             raise NotConvergedError("Platt fit: line search found no descent step")
+        if cand_a == A and cand_b == B:  # no representable step moves (A, B)
+            break
         A, B = cand_a, cand_b
         iterations += 1
     return PlattMap(A=A, B=B, iterations_used=iterations, final_gradient_norm=gnorm)

@@ -28,6 +28,7 @@ from .errors import CalibenchError, InvalidSpecError, NotConvergedError
 from .harness import (
     ForestSpec,
     LogregSpec,
+    _to_json,
     bootstrap_metric_ci,
     compare_methods,
     config_from_json,
@@ -38,6 +39,7 @@ from .harness import (
     save_results,
 )
 from .metrics import reliability_bins
+from ._util import write_json
 
 __all__ = ["main"]
 
@@ -113,24 +115,9 @@ def _cmd_compare(args) -> int:
             "metric": args.metric,
             "family_alpha": args.alpha,
             "bonferroni_threshold": threshold,
-            "comparisons": [
-                {
-                    "name_a": r.name_a,
-                    "name_b": r.name_b,
-                    "mean_diff": r.mean_diff,
-                    "t_statistic": None if np.isnan(r.t_statistic) else r.t_statistic,
-                    "df": r.df,
-                    "p_value": r.p_value,
-                    "cohens_d": None if np.isnan(r.cohens_d) else r.cohens_d,
-                    "significant_at_corrected_alpha": r.significant_at_corrected_alpha,
-                    "degenerate": r.degenerate,
-                }
-                for r in rows
-            ],
+            "comparisons": [_to_json(r) for r in rows],
         }
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2, allow_nan=False)
-            handle.write("\n")
+        write_json(args.out, payload)
         print(f"wrote {args.out}")
     return 0
 
@@ -200,9 +187,7 @@ def _cmd_convergence(args) -> int:
         "slope": study.slope,
         "intercept": study.intercept,
     }
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2, allow_nan=False)
-        handle.write("\n")
+    write_json(args.out, payload)
     print(f"wrote {args.out}: slope {study.slope:.4f} over sizes {list(study.sizes)}")
     return 0
 
@@ -228,9 +213,7 @@ def _cmd_pipeline(args) -> int:
     print(
         f"test ece 95% bootstrap ci: [{interval.lower:.6g}, {interval.upper:.6g}]"
     )
-    with open(args.map_out, "w") as handle:
-        json.dump(map_to_json(artifact.calibration_map), handle, indent=2)
-        handle.write("\n")
+    write_json(args.map_out, map_to_json(artifact.calibration_map))
     print(f"wrote {args.map_out}")
     return 0
 

@@ -45,6 +45,7 @@ __all__ = [
     "select_features",
     "subset",
     "stratified_split",
+    "deal_folds",
     "make_fold_plan",
 ]
 
@@ -112,11 +113,11 @@ class SyntheticConfig:
     seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (type(self.n) is int and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.d, int) and self.d >= 2):
+        if not (type(self.d) is int and self.d >= 2):
             raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (type(self.seed) is int and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -327,6 +328,16 @@ def stratified_split(data: Dataset, train_ratio: float, seed: int):
     return subset(data, train_idx), subset(data, test_idx)
 
 
+def deal_folds(labels: np.ndarray, folds: int, rng) -> np.ndarray:
+    """Stratified fold id of every row: each class (0, then 1) is shuffled
+    with ``rng`` and dealt round-robin across ``folds``."""
+    fold_of = np.empty(labels.size, dtype=np.intp)
+    for class_idx in _class_indices(labels):
+        perm = rng.permutation(class_idx)
+        fold_of[perm] = np.arange(perm.size, dtype=np.intp) % folds
+    return fold_of
+
+
 @dataclass(frozen=True)
 class FoldAssignment:
     """One (repeat, fold) cell of a fold plan, with its row index sets."""
@@ -358,9 +369,9 @@ class FoldPlan:
 
 def make_fold_plan(data: Dataset, folds: int, repeats: int, base_seed: int) -> FoldPlan:
     """Build a stratified repeated-CV plan by per-class round-robin dealing."""
-    if not (isinstance(folds, int) and folds >= 2):
+    if not (type(folds) is int and folds >= 2):
         raise ValueError(f"folds must be an integer >= 2, got {folds!r}")
-    if not (isinstance(repeats, int) and repeats >= 1):
+    if not (type(repeats) is int and repeats >= 1):
         raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
     neg, pos = _class_indices(data.labels)
     if neg.size < folds or pos.size < folds:
@@ -369,11 +380,7 @@ def make_fold_plan(data: Dataset, folds: int, repeats: int, base_seed: int) -> F
         )
     assignments = []
     for repeat in range(repeats):
-        rng = np.random.default_rng(base_seed + repeat)
-        fold_of = np.empty(data.n, dtype=np.intp)
-        for class_idx in (neg, pos):
-            perm = rng.permutation(class_idx)
-            fold_of[perm] = np.arange(perm.size, dtype=np.intp) % folds
+        fold_of = deal_folds(data.labels, folds, np.random.default_rng(base_seed + repeat))
         for fold in range(folds):
             test_idx = np.flatnonzero(fold_of == fold)
             train_idx = np.flatnonzero(fold_of != fold)

@@ -31,7 +31,6 @@ import numpy as np
 
 from .calibrators import (
     METHODS,
-    IdentityMap,
     ScoreSet,
     apply_map,
     fit_calibrated_pipeline,
@@ -40,6 +39,7 @@ from .calibrators import (
 from .datasets import (
     Dataset,
     SyntheticConfig,
+    deal_folds,
     generate_synthetic,
     load_csv,
     load_score_csv,
@@ -52,12 +52,13 @@ from .errors import (
     IncompleteRecordsError,
     InvalidSpecError,
     SchemaVersionMismatchError,
+    SingleClassError,
     TooFewSamplesError,
 )
 from .metrics import MetricReport, ece, metric_report
 from .models import fit_forest, fit_logistic, score_dataset
 from .stats import IntervalEstimate, PairedComparison, mean_ci, paired_t_test, shapiro_wilk
-from ._util import mix_seed
+from ._util import mix_seed, write_json
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -219,13 +220,13 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "feature_mode", tuple(int(i) for i in self.feature_mode)
             )
-        if not (isinstance(self.folds, int) and self.folds >= 2):
+        if not (type(self.folds) is int and self.folds >= 2):
             raise ValueError(f"folds must be an integer >= 2, got {self.folds!r}")
-        if not (isinstance(self.repeats, int) and self.repeats >= 1):
+        if not (type(self.repeats) is int and self.repeats >= 1):
             raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        if not (isinstance(self.bins, int) and self.bins >= 1):
+        if not (type(self.bins) is int and self.bins >= 1):
             raise ValueError(f"bins must be an integer >= 1, got {self.bins!r}")
-        if not (isinstance(self.base_seed, int) and self.base_seed >= 0):
+        if not (type(self.base_seed) is int and self.base_seed >= 0):
             raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
         if not (0.0 < self.family_alpha < 1.0):
             raise ValueError(f"family_alpha must be in (0, 1), got {self.family_alpha!r}")
@@ -345,17 +346,7 @@ def _fit_base_model(model_spec, data: Dataset, seed: int):
     raise ValueError(f"cannot train a base model from {type(model_spec).__name__}")
 
 
-def _deal_folds(labels: np.ndarray, folds: int, rng) -> np.ndarray:
-    """Stratified fold ids: shuffle each class, deal round-robin."""
-    fold_of = np.empty(labels.size, dtype=np.intp)
-    for cls in (0, 1):
-        idx = np.flatnonzero(labels == cls)
-        perm = rng.permutation(idx)
-        fold_of[perm] = np.arange(perm.size, dtype=np.intp) % folds
-    return fold_of
-
-
-def _fit_method_map(cal_scores: ScoreSet, method: str):
+def _fit_method_map(cal_scores: ScoreSet | None, method: str):
     """Fit one benchmark method's calibration map on a calibration split.
 
     The benchmark and the selection pipeline fit ``"platt"`` with the
@@ -364,6 +355,7 @@ def _fit_method_map(cal_scores: ScoreSet, method: str):
     that reproduces the published reference measurements this suite is
     benchmarked against.  The plain maximum-likelihood fit on raw 0/1
     labels remains the ``fit_platt`` default for direct library use.
+    ``"uncalibrated"`` fits nothing, so ``cal_scores`` may then be None.
     """
     if method == "platt":
         return fit_platt(cal_scores, smooth_targets=True)
@@ -415,7 +407,7 @@ def run_enhanced_calibration(data: Dataset, model_spec, seed: int) -> PipelineAr
         else:
             branch = "cv"
             rng = np.random.default_rng(mix_seed(seed, 4))
-            fold_of = _deal_folds(cal_scores.labels, _SELECTION_FOLDS, rng)
+            fold_of = deal_folds(cal_scores.labels, _SELECTION_FOLDS, rng)
             ece_platt = _cv_mean_ece(cal_scores, "platt", fold_of, _SELECTION_FOLDS, 10)
             ece_iso = _cv_mean_ece(cal_scores, "isotonic", fold_of, _SELECTION_FOLDS, 10)
             chosen = "platt" if ece_platt <= ece_iso else "isotonic"
@@ -453,11 +445,25 @@ def _materialize_dataset(config: ExperimentConfig) -> Dataset:
     return select_features(data, list(config.feature_mode))
 
 
-def _run_model_benchmark(config: ExperimentConfig) -> list:
+def _cells(config: ExperimentConfig):
+    """Yield ``(repeat, fold, cal ScoreSet or None, test ScoreSet)`` for
+    every CV cell in repeat-major order.
+
+    Score files are read as their cell comes up, the test file first; the
+    calibration file only when some method needs it.  An in-repo model is
+    fit per cell on the fit part of the fold's training rows and scores
+    the calibration part and the test rows.
+    """
+    if isinstance(config.source, ScoreFileSource):
+        needs_cal = any(m != "uncalibrated" for m in config.methods)
+        for index, entry in enumerate(config.source.entries):
+            test_scores = load_score_csv(entry.test)
+            cal_scores = load_score_csv(entry.cal) if needs_cal else None
+            repeat, fold = divmod(index, config.folds)
+            yield repeat, fold, cal_scores, test_scores
+        return
     data = _materialize_dataset(config)
     plan = make_fold_plan(data, config.folds, config.repeats, config.base_seed)
-    model_name = config.model.model_name
-    records = []
     for cell in plan.assignments:
         if __debug__:
             overlap = np.intersect1d(cell.train_indices, cell.test_indices)
@@ -471,33 +477,7 @@ def _run_model_benchmark(config: ExperimentConfig) -> list:
         model = _fit_base_model(config.model, fit_part, seed=mix_seed(run_seed, 2))
         cal_scores = score_dataset(model, cal_part)
         test_scores = score_dataset(model, test_data)
-        for method in config.methods:
-            cal_map = _fit_method_map(cal_scores, method)
-            probs = apply_map(cal_map, test_scores.scores)
-            report = metric_report(probs, test_scores.labels, bins=config.bins)
-            records.append(
-                RunRecord(cell.repeat_index, cell.fold_index, model_name, method, report)
-            )
-    return records
-
-
-def _run_external_benchmark(config: ExperimentConfig) -> list:
-    records = []
-    needs_cal = any(m != "uncalibrated" for m in config.methods)
-    for repeat in range(config.repeats):
-        for fold in range(config.folds):
-            entry = config.source.entries[repeat * config.folds + fold]
-            test_scores = load_score_csv(entry.test)
-            cal_scores = load_score_csv(entry.cal) if needs_cal else None
-            for method in config.methods:
-                if method == "uncalibrated":
-                    cal_map = IdentityMap()
-                else:
-                    cal_map = _fit_method_map(cal_scores, method)
-                probs = apply_map(cal_map, test_scores.scores)
-                report = metric_report(probs, test_scores.labels, bins=config.bins)
-                records.append(RunRecord(repeat, fold, "external", method, report))
-    return records
+        yield cell.repeat_index, cell.fold_index, cal_scores, test_scores
 
 
 def aggregate_records(records) -> tuple:
@@ -568,6 +548,12 @@ def _comparisons_for(records, methods, metrics, family_alpha: float):
                 raise IncompleteRecordsError(
                     f"method {m!r} lacks complete (repeat, fold) records for {metric!r}"
                 )
+            undefined = sum(not math.isfinite(v) for v in per_method[m].values())
+            if undefined:
+                raise IncompleteRecordsError(
+                    f"method {m!r} has an undefined {metric!r} in {undefined} of "
+                    f"{len(keys)} records; a paired comparison needs every value"
+                )
         for name_a, name_b in pairs:
             a = np.array([per_method[name_a][k] for k in keys])
             b = np.array([per_method[name_b][k] for k in keys])
@@ -587,10 +573,15 @@ def run_repeated_cv(config: ExperimentConfig) -> ResultTable:
     Bonferroni threshold spanning every emitted pair.  Deterministic for a
     fixed config.
     """
-    if isinstance(config.model, ExternalSpec):
-        records = _run_external_benchmark(config)
-    else:
-        records = _run_model_benchmark(config)
+    records = []
+    for repeat, fold, cal_scores, test_scores in _cells(config):
+        for method in config.methods:
+            cal_map = _fit_method_map(cal_scores, method)
+            probs = apply_map(cal_map, test_scores.scores)
+            report = metric_report(probs, test_scores.labels, bins=config.bins)
+            records.append(
+                RunRecord(repeat, fold, config.model.model_name, method, report)
+            )
     records.sort(key=lambda r: (r.model_name, r.method_name, r.repeat, r.fold))
     records = tuple(records)
     aggregates = aggregate_records(records)
@@ -712,8 +703,8 @@ def bootstrap_metric_ci(
     """Percentile-bootstrap CI of one metric on a single evaluation set.
 
     Resamples (prob, label) pairs with replacement ``draws`` times; draws
-    where the metric is undefined (e.g. a single-class AUC resample) are
-    skipped.  The interval is widened, if needed, to contain the full-data
+    where the metric is undefined (a single-class resample for AUC, the
+    only such case) are skipped.  The interval is widened, if needed, to contain the full-data
     point estimate.
     """
     from . import metrics as _metrics
@@ -742,7 +733,7 @@ def bootstrap_metric_ci(
         idx = rng.integers(0, p.size, size=p.size)
         try:
             samples.append(float(evaluate(p[idx], y[idx])))
-        except Exception:
+        except SingleClassError:
             continue
     if not samples:
         raise ValueError(f"metric {metric!r} was undefined on every bootstrap draw")
@@ -761,47 +752,40 @@ def bootstrap_metric_ci(
 # ---------------------------------------------------------------------------
 
 def _float_out(value: float):
+    """A float as JSON holds it: NaN as null, +-inf as "inf"/"-inf"
+    (both of which ``float()`` reads back)."""
     value = float(value)
-    return None if math.isnan(value) else value
+    if math.isnan(value):
+        return None
+    return value if math.isfinite(value) else str(value)
 
 
 def _float_in(value) -> float:
     return float("nan") if value is None else float(value)
 
 
+# config JSON kind -> spec class, for the "source" and "model" objects
+_SOURCE_KINDS = {"synthetic": SyntheticConfig, "csv": CsvSource, "scores": ScoreFileSource}
+_MODEL_KINDS = {"logreg": LogregSpec, "forest": ForestSpec, "external": ExternalSpec}
+
+
+def _kind_to_json(spec, kinds: dict) -> dict:
+    """``{kind: {field: value}}`` form of a source or model spec."""
+    kind = next(k for k, cls in kinds.items() if isinstance(spec, cls))
+    if isinstance(spec, ScoreFileSource):  # entries are keyed cal, then test
+        return {kind: {"entries": [{"cal": e.cal, "test": e.test} for e in spec.entries]}}
+    return {kind: dataclasses.asdict(spec)}
+
+
 def config_to_json(config: ExperimentConfig) -> dict:
-    if isinstance(config.source, SyntheticConfig):
-        source = {
-            "synthetic": {
-                "n": config.source.n,
-                "d": config.source.d,
-                "seed": config.source.seed,
-            }
-        }
-    elif isinstance(config.source, CsvSource):
-        source = {"csv": {"path": config.source.path, "label_column": config.source.label_column}}
-    else:
-        source = {
-            "scores": {
-                "entries": [
-                    {"cal": e.cal, "test": e.test} for e in config.source.entries
-                ]
-            }
-        }
-    if isinstance(config.model, LogregSpec):
-        model = {"logreg": {"C": config.model.C}}
-    elif isinstance(config.model, ForestSpec):
-        model = {"forest": {"trees": config.model.trees, "depth": config.model.depth}}
-    else:
-        model = {"external": {}}
     feature_mode = (
         config.feature_mode
         if isinstance(config.feature_mode, str)
         else list(config.feature_mode)
     )
     return {
-        "source": source,
-        "model": model,
+        "source": _kind_to_json(config.source, _SOURCE_KINDS),
+        "model": _kind_to_json(config.model, _MODEL_KINDS),
         "methods": list(config.methods),
         "feature_mode": feature_mode,
         "folds": config.folds,
@@ -812,82 +796,130 @@ def config_to_json(config: ExperimentConfig) -> dict:
     }
 
 
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+
+# JSON value types a config value may hold -> their name in error messages
+_TYPE_NAMES = {
+    int: "an integer",
+    (int, float): "a number",
+    str: "a string",
+    list: "a list",
+    (str, list): "a string or a list",
+}
+
+
+def _typed(value, kinds, name: str):
+    """``value`` if it has one of the JSON types ``kinds`` (a bool is none
+    of them), else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {_TYPE_NAMES[kinds]}, got {value!r}")
+    return value
+
+
+def _json_object(value, where: str, keys: tuple) -> dict:
+    """``value`` if it is a JSON object whose keys all lie in ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(
+            f"unknown {where} key {unknown[0]!r}; valid: {', '.join(keys) or 'none'}"
+        )
+    return value
+
+
+def _spec_from_json(cls, body, where: str):
+    """A spec dataclass from the JSON object of its fields: an absent field
+    takes its default, an absent required one raises ``KeyError``."""
+    fields = dataclasses.fields(cls)
+    body = _json_object(body, where, tuple(f.name for f in fields))
+    return cls(**{
+        f.name: _SPEC_FIELD_READERS[f.type](body[f.name], f.name)
+        for f in fields
+        if f.name in body or f.default is dataclasses.MISSING
+    })
+
+
+# spec field annotation -> reader of its JSON value
+_SPEC_FIELD_READERS = {
+    "int": lambda value, name: _typed(value, int, name),
+    "float": lambda value, name: float(_typed(value, (int, float), name)),
+    "str": lambda value, name: _typed(value, str, name),
+    "str | None": lambda value, name: None if value is None else _typed(value, str, name),
+    "tuple": lambda value, name: tuple(  # ScoreFileSource.entries
+        _spec_from_json(ScoreFilePair, entry, "score-file entry")
+        for entry in _typed(value, list, name)
+    ),
+}
+
+
+def _kind_from_json(value, where: str, kinds: dict):
+    """Inverse of :func:`_kind_to_json`."""
+    spec = _json_object(value, where, tuple(kinds))
+    if len(spec) != 1:
+        raise ValueError(f"{where} must name exactly one of: {', '.join(kinds)}")
+    ((kind, body),) = spec.items()
+    return _spec_from_json(kinds[kind], body, f"{where}.{kind}")
+
+
 def config_from_json(payload: dict) -> ExperimentConfig:
-    source_spec = payload["source"]
-    if "synthetic" in source_spec:
-        body = source_spec["synthetic"]
-        source = SyntheticConfig(int(body["n"]), int(body["d"]), int(body["seed"]))
-    elif "csv" in source_spec:
-        body = source_spec["csv"]
-        source = CsvSource(str(body["path"]), str(body.get("label_column", "y")))
-    elif "scores" in source_spec:
-        body = source_spec["scores"]
-        source = ScoreFileSource(
-            tuple(
-                ScoreFilePair(test=str(e["test"]), cal=None if e.get("cal") is None else str(e["cal"]))
-                for e in body["entries"]
-            )
-        )
-    else:
-        raise ValueError(
-            f"unknown data source {sorted(source_spec)!r}; valid: synthetic, csv, scores"
-        )
-    model_spec = payload["model"]
-    if "logreg" in model_spec:
-        model = LogregSpec(C=float(model_spec["logreg"].get("C", 1.0)))
-    elif "forest" in model_spec:
-        body = model_spec["forest"]
-        model = ForestSpec(trees=int(body.get("trees", 100)), depth=int(body.get("depth", 10)))
-    elif "external" in model_spec:
-        model = ExternalSpec()
-    else:
-        raise ValueError(
-            f"unknown model spec {sorted(model_spec)!r}; valid: logreg, forest, external"
-        )
-    feature_mode = payload.get("feature_mode", "full")
-    if not isinstance(feature_mode, str):
-        feature_mode = tuple(int(i) for i in feature_mode)
+    """Inverse of :func:`config_to_json`, strict about its input: an unknown
+    key or a value of the wrong JSON type (``2.9`` or ``true`` as a count,
+    a string as the method list) raises ``ValueError``; a missing required
+    key raises ``KeyError``."""
+    payload = _json_object(payload, "config", _CONFIG_KEYS)
+    feature_mode = _typed(payload.get("feature_mode", "full"), (str, list), "feature_mode")
+    if isinstance(feature_mode, list):
+        feature_mode = tuple(_typed(i, int, "feature index") for i in feature_mode)
+    methods = _typed(payload.get("methods", list(METHODS)), list, "methods")
     return ExperimentConfig(
-        source=source,
-        model=model,
-        methods=tuple(payload.get("methods", METHODS)),
+        source=_kind_from_json(payload["source"], "source", _SOURCE_KINDS),
+        model=_kind_from_json(payload["model"], "model", _MODEL_KINDS),
+        methods=tuple(_typed(m, str, "method") for m in methods),
         feature_mode=feature_mode,
-        folds=int(payload.get("folds", 5)),
-        repeats=int(payload.get("repeats", 10)),
-        bins=int(payload.get("bins", 10)),
-        base_seed=int(payload.get("base_seed", 0)),
-        family_alpha=float(payload.get("family_alpha", 0.05)),
+        folds=payload.get("folds", 5),
+        repeats=payload.get("repeats", 10),
+        bins=payload.get("bins", 10),
+        base_seed=payload.get("base_seed", 0),
+        family_alpha=float(
+            _typed(payload.get("family_alpha", 0.05), (int, float), "family_alpha")
+        ),
     )
 
 
-def _report_to_json(report: MetricReport) -> dict:
-    return {
-        "ece": _float_out(report.ece),
-        "mce": _float_out(report.mce),
-        "brier": _float_out(report.brier),
-        "log_loss": _float_out(report.log_loss),
-        "auc": _float_out(report.auc),
-        "reliability": _float_out(report.reliability),
-        "hl_statistic": _float_out(report.hl_statistic),
-        "hl_p_value": _float_out(report.hl_p_value),
-        "n": report.n,
-        "bin_count": report.bin_count,
-    }
+def _to_json(row) -> dict:
+    """JSON-ready dict of a result dataclass, keyed in field order.
+
+    ``float`` fields go through :func:`_float_out`; a nested dataclass
+    becomes a nested dict.
+    """
+    body = {}
+    for field in dataclasses.fields(row):
+        value = getattr(row, field.name)
+        if field.type == "float":
+            value = _float_out(value)
+        elif dataclasses.is_dataclass(value):
+            value = _to_json(value)
+        body[field.name] = value
+    return body
 
 
-def _report_from_json(body: dict) -> MetricReport:
-    return MetricReport(
-        ece=_float_in(body["ece"]),
-        mce=_float_in(body["mce"]),
-        brier=_float_in(body["brier"]),
-        log_loss=_float_in(body["log_loss"]),
-        auc=_float_in(body["auc"]),
-        reliability=_float_in(body["reliability"]),
-        hl_statistic=_float_in(body["hl_statistic"]),
-        hl_p_value=_float_in(body["hl_p_value"]),
-        n=int(body["n"]),
-        bin_count=int(body["bin_count"]),
-    )
+def _from_json(cls, body: dict):
+    """Inverse of :func:`_to_json`: a ``cls`` from the keys of its fields."""
+    return cls(**{
+        field.name: _ROW_FIELD_READERS[field.type](body[field.name])
+        for field in dataclasses.fields(cls)
+    })
+
+
+# result-row field annotation -> reader of its JSON value
+_ROW_FIELD_READERS = {
+    "float": _float_in,
+    "int": int,
+    "str": str,
+    "bool": bool,
+    "MetricReport": lambda body: _from_json(MetricReport, body),
+}
 
 
 def table_to_json(table: ResultTable) -> dict:
@@ -895,48 +927,13 @@ def table_to_json(table: ResultTable) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "config": config_to_json(table.config),
-        "records": [
-            {
-                "repeat": r.repeat,
-                "fold": r.fold,
-                "model_name": r.model_name,
-                "method_name": r.method_name,
-                "metrics": _report_to_json(r.metrics),
-            }
-            for r in table.records
-        ],
-        "aggregates": [
-            {
-                "model_name": a.model_name,
-                "method_name": a.method_name,
-                "metric": a.metric,
-                "mean": _float_out(a.mean),
-                "sd": _float_out(a.sd),
-                "ci_lower": _float_out(a.ci_lower),
-                "ci_upper": _float_out(a.ci_upper),
-                "runs": a.runs,
-            }
-            for a in table.aggregates
-        ],
+        "records": [_to_json(r) for r in table.records],
+        "aggregates": [_to_json(a) for a in table.aggregates],
         "comparisons": [
-            {
-                "metric": c.metric,
-                "name_a": c.result.name_a,
-                "name_b": c.result.name_b,
-                "mean_diff": _float_out(c.result.mean_diff),
-                "t_statistic": _float_out(c.result.t_statistic),
-                "df": c.result.df,
-                "p_value": _float_out(c.result.p_value),
-                "cohens_d": _float_out(c.result.cohens_d),
-                "significant_at_corrected_alpha": c.result.significant_at_corrected_alpha,
-                "degenerate": c.result.degenerate,
-            }
-            for c in table.comparisons
+            {"metric": c.metric, **_to_json(c.result)} for c in table.comparisons
         ],
         "comparison_metrics": list(table.comparison_metrics),
-        "bonferroni_threshold": (
-            None if table.bonferroni_threshold is None else table.bonferroni_threshold
-        ),
+        "bonferroni_threshold": table.bonferroni_threshold,
     }
 
 
@@ -952,53 +949,15 @@ def table_from_json(payload: dict) -> ResultTable:
             f"results file has schema_version {version!r}; this library reads "
             f"{SCHEMA_VERSION!r}"
         )
-    config = config_from_json(payload["config"])
-    records = tuple(
-        RunRecord(
-            repeat=int(r["repeat"]),
-            fold=int(r["fold"]),
-            model_name=str(r["model_name"]),
-            method_name=str(r["method_name"]),
-            metrics=_report_from_json(r["metrics"]),
-        )
-        for r in payload["records"]
-    )
-    aggregates = tuple(
-        AggregateRow(
-            model_name=str(a["model_name"]),
-            method_name=str(a["method_name"]),
-            metric=str(a["metric"]),
-            mean=_float_in(a["mean"]),
-            sd=_float_in(a["sd"]),
-            ci_lower=_float_in(a["ci_lower"]),
-            ci_upper=_float_in(a["ci_upper"]),
-            runs=int(a["runs"]),
-        )
-        for a in payload["aggregates"]
-    )
-    comparisons = tuple(
-        ComparisonRow(
-            metric=str(c["metric"]),
-            result=PairedComparison(
-                name_a=str(c["name_a"]),
-                name_b=str(c["name_b"]),
-                mean_diff=_float_in(c["mean_diff"]),
-                t_statistic=_float_in(c["t_statistic"]),
-                df=int(c["df"]),
-                p_value=_float_in(c["p_value"]),
-                cohens_d=_float_in(c["cohens_d"]),
-                significant_at_corrected_alpha=bool(c["significant_at_corrected_alpha"]),
-                degenerate=bool(c["degenerate"]),
-            ),
-        )
-        for c in payload["comparisons"]
-    )
     threshold = payload.get("bonferroni_threshold")
     return ResultTable(
-        config=config,
-        records=records,
-        aggregates=aggregates,
-        comparisons=comparisons,
+        config=config_from_json(payload["config"]),
+        records=tuple(_from_json(RunRecord, r) for r in payload["records"]),
+        aggregates=tuple(_from_json(AggregateRow, a) for a in payload["aggregates"]),
+        comparisons=tuple(
+            ComparisonRow(metric=str(c["metric"]), result=_from_json(PairedComparison, c))
+            for c in payload["comparisons"]
+        ),
         comparison_metrics=tuple(payload.get("comparison_metrics", ())),
         bonferroni_threshold=None if threshold is None else float(threshold),
     )
@@ -1006,10 +965,9 @@ def table_from_json(payload: dict) -> ResultTable:
 
 def save_results(table: ResultTable, path: str) -> None:
     """Write a ResultTable as JSON; a reload reproduces it exactly
-    (floats keep full precision, NaN is stored as null)."""
-    with open(path, "w") as handle:
-        json.dump(table_to_json(table), handle, indent=2, allow_nan=False)
-        handle.write("\n")
+    (floats keep full precision, NaN is stored as null and ±inf as
+    "inf"/"-inf")."""
+    write_json(path, table_to_json(table))
 
 
 def load_results(path: str) -> ResultTable:

@@ -275,6 +275,8 @@ def _paired_diffs(a, b) -> np.ndarray:
         raise LengthMismatchError(f"paired vectors differ in length: {av.size} vs {bv.size}")
     if av.size < 2:
         raise TooFewSamplesError("paired comparison needs n >= 2")
+    if not (np.isfinite(av).all() and np.isfinite(bv).all()):
+        raise ValueError("paired values must be finite (no NaN or inf)")
     return av - bv
 
 

@@ -156,6 +156,88 @@ def test_benchmark_rejects_bad_configs(tmp_path, capsys):
     assert not out.exists()
 
 
+SMALL_CONFIG = {
+    "source": {"synthetic": {"n": 100, "d": 3, "seed": 0}},
+    "model": {"logreg": {}},
+    "folds": 2,
+    "repeats": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({**SMALL_CONFIG, "repeat": 2}, "unknown config key 'repeat'"),
+        ({**SMALL_CONFIG, "model": {"logreg": {"c": 5}}}, "unknown model.logreg key 'c'"),
+        ({**SMALL_CONFIG, "folds": 2.9}, "folds must be an integer >= 2, got 2.9"),
+        ({**SMALL_CONFIG, "repeats": True}, "repeats must be an integer >= 1, got True"),
+        ([SMALL_CONFIG], "config must be a JSON object"),
+        ({**SMALL_CONFIG, "methods": "platt"}, "methods must be a list, got 'platt'"),
+    ],
+    ids=["unknown-key", "unknown-model-key", "float-count", "bool-count", "array", "string-methods"],
+)
+def test_benchmark_rejects_malformed_config_values(tmp_path, capsys, payload, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))
+    out = tmp_path / "results.json"
+    assert run_cli("benchmark", "--config", str(config_path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_benchmark_completes_at_a_platt_fixed_point(tmp_path, capsys):
+    # the README logreg config at base_seed 4: on one calibration split the
+    # Newton iteration reaches gradient norm 1.3e-8 (> tol 1e-8) where no
+    # representable step lowers the objective; the fit stops there
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "source": {"synthetic": {"n": 1000, "d": 10, "seed": 42}},
+                "model": {"logreg": {"C": 1.0}},
+                "methods": ["uncalibrated", "platt", "isotonic"],
+                "feature_mode": "informative",
+                "folds": 5,
+                "repeats": 10,
+                "bins": 10,
+                "base_seed": 4,
+            }
+        )
+    )
+    out = tmp_path / "results.json"
+    assert run_cli("benchmark", "--config", str(config_path), "--out", str(out)) == 0
+    assert f"wrote {out}: 150 records" in capsys.readouterr().out
+
+
+def test_benchmark_and_compare_write_infinite_statistics(tmp_path, capsys):
+    # cells that repeat the same score files make every paired difference
+    # constant, so the t statistics are infinite
+    write_score_file(tmp_path / "cal.csv", seed=1)
+    write_score_file(tmp_path / "test.csv", seed=2)
+    entry = {"cal": str(tmp_path / "cal.csv"), "test": str(tmp_path / "test.csv")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "source": {"scores": {"entries": [entry, entry]}},
+                "model": {"external": {}},
+                "methods": ["uncalibrated", "isotonic"],
+                "folds": 2,
+                "repeats": 1,
+            }
+        )
+    )
+    results = tmp_path / "results.json"
+    assert run_cli("benchmark", "--config", str(config_path), "--out", str(results)) == 0
+    comparison = tmp_path / "comparison.json"
+    assert run_cli("compare", "--results", str(results), "--out", str(comparison)) == 0
+    for path in (results, comparison):
+        rows = json.loads(path.read_text())["comparisons"]
+        assert rows and all(row["t_statistic"] in ("inf", "-inf") for row in rows)
+
+
 def test_benchmark_missing_config_file_is_data_error(tmp_path, capsys):
     out = tmp_path / "results.json"
     assert run_cli("benchmark", "--config", str(tmp_path / "absent.json"), "--out", str(out)) == 2
@@ -215,6 +297,15 @@ def test_compare_marks_significance_with_stars(results_file, capsys):
 def test_compare_rejects_unknown_metric(results_file, capsys):
     assert run_cli("compare", "--results", str(results_file), "--metric", "accuracy") == 1
     assert "unknown metric 'accuracy'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric", ["hl_statistic", "hl_p_value"])
+def test_compare_on_undefined_metric_values_is_data_error(results_file, capsys, metric):
+    # isotonic's Hosmer-Lemeshow fields are NaN (null) in every record here
+    assert run_cli("compare", "--results", str(results_file), "--metric", metric) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert f"method 'isotonic' has an undefined {metric!r}" in err
 
 
 def test_compare_rejects_bad_alpha_before_reading(tmp_path, capsys):

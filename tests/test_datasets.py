@@ -42,6 +42,8 @@ def test_synthetic_config_validation():
         SyntheticConfig(n=10, d=1, seed=1)
     with pytest.raises(ValueError):
         SyntheticConfig(n=10, d=2, seed=-1)
+    with pytest.raises(ValueError):
+        SyntheticConfig(n=True, d=2, seed=1)
 
 
 def test_synthetic_labels_follow_the_rule_exactly():

@@ -100,6 +100,8 @@ def test_config_rejects_bad_numbers():
         ExperimentConfig(source=src, model=LogregSpec(), folds=1)
     with pytest.raises(ValueError, match="repeats"):
         ExperimentConfig(source=src, model=LogregSpec(), repeats=0)
+    with pytest.raises(ValueError, match="repeats"):
+        ExperimentConfig(source=src, model=LogregSpec(), repeats=True)
     with pytest.raises(ValueError, match="bins"):
         ExperimentConfig(source=src, model=LogregSpec(), bins=0)
     with pytest.raises(ValueError, match="base_seed"):
@@ -533,6 +535,27 @@ def test_bootstrap_ci_skips_undefined_draws():
 # persistence
 # ---------------------------------------------------------------------------
 
+def test_bootstrap_ci_propagates_non_metric_errors(monkeypatch):
+    # only an undefined metric skips a draw; any other error is a bug
+    from calibench import metrics
+
+    calls = []
+    real_brier = metrics.brier
+
+    def brier_failing_on_draws(p, y):
+        calls.append(1)
+        if len(calls) > 1:
+            raise RuntimeError("planted failure")
+        return real_brier(p, y)
+
+    monkeypatch.setattr(metrics, "brier", brier_failing_on_draws)
+    rng = np.random.default_rng(4)
+    probs = rng.random(50)
+    labels = (rng.random(50) < probs).astype(np.int64)
+    with pytest.raises(RuntimeError, match="planted failure"):
+        bootstrap_metric_ci(probs, labels, metric="brier", draws=20, seed=0)
+
+
 def test_config_json_round_trip(tmp_path):
     configs = [
         small_config(),
@@ -611,3 +634,31 @@ def test_load_results_rejects_foreign_files(tmp_path):
     garbled.write_text("{not json")
     with pytest.raises(SchemaVersionMismatchError, match="not valid JSON"):
         load_results(str(garbled))
+
+
+def test_results_round_trip_encodes_infinities(tmp_path):
+    # cells that repeat the same score files give identical per-cell
+    # metrics, so every paired difference is constant and t is +-inf
+    rng = np.random.default_rng(8)
+    cal, test = tmp_path / "cal.csv", tmp_path / "test.csv"
+    for path in (cal, test):
+        s = rng.random(200)
+        save_score_csv(ScoreSet(s, (rng.random(200) < s ** 2).astype(np.int64)), str(path))
+    config = ExperimentConfig(
+        source=ScoreFileSource((ScoreFilePair(str(test), str(cal)),) * 2),
+        model=ExternalSpec(),
+        methods=("uncalibrated", "platt"),
+        folds=2,
+        repeats=1,
+    )
+    table = run_repeated_cv(config)
+    assert all(np.isinf(c.result.t_statistic) for c in table.comparisons)
+    path = tmp_path / "results.json"
+    save_results(table, str(path))
+    text = path.read_text()
+    assert '"t_statistic": "inf"' in text or '"t_statistic": "-inf"' in text
+    loaded = load_results(str(path))
+    assert table_to_json(loaded) == table_to_json(table)
+    assert [c.result.t_statistic for c in loaded.comparisons] == [
+        c.result.t_statistic for c in table.comparisons
+    ]

@@ -129,6 +129,13 @@ def test_paired_t_constant_nonzero_difference():
     assert math.isinf(result.t_statistic) and result.t_statistic > 0
 
 
+def test_paired_t_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="finite"):
+        paired_t_test([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        cohens_d_paired([1.0, 2.0, 3.0], [1.0, float("inf"), 2.0])
+
+
 def test_paired_t_length_mismatch():
     with pytest.raises(LengthMismatchError):
         paired_t_test([1.0, 2.0], [1.0])
