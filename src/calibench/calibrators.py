@@ -338,8 +338,8 @@ def apply_map(calibration_map, score):
     Platt maps evaluate sigma(A*score + B); isotonic maps do a
     right-continuous step lookup (the value at the largest knot <= score),
     clamped to the end values outside the knot range; the identity map
-    clamps its input to [0, 1].  Scalar in, scalar out; vector in,
-    vector out.
+    clamps its input to [0, 1].  Every map sends NaN to NaN.  Scalar in,
+    scalar out; vector in, vector out.
     """
     scalar = np.isscalar(score) or np.ndim(score) == 0
     s = np.atleast_1d(np.asarray(score, dtype=np.float64))
@@ -349,6 +349,7 @@ def apply_map(calibration_map, score):
         idx = np.searchsorted(calibration_map.knots, s, side="right") - 1
         np.clip(idx, 0, calibration_map.knots.size - 1, out=idx)
         out = calibration_map.values[idx]
+        out[np.isnan(s)] = np.nan
     elif isinstance(calibration_map, IdentityMap):
         out = np.clip(s, 0.0, 1.0)
     else:

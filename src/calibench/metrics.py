@@ -174,8 +174,7 @@ def auc(scores, labels) -> float:
     boundaries = np.flatnonzero(np.diff(sorted_scores) != 0) + 1
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries, [s.size]))
-    for lo, hi in zip(starts, ends):
-        ranks[order[lo:hi]] = 0.5 * (lo + hi + 1)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
     rank_sum_pos = float(ranks[y == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

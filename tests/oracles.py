@@ -110,3 +110,60 @@ def slow_auc(scores, labels):
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def slow_forest_tree(x, y, max_depth, mtry, rng):
+    """One tree of ``fit_forest`` grown node by node, as a list of node dicts
+    numbered breadth-first.
+
+    The generator draws the bootstrap first, then, per level, one
+    ``random((k, d)).argsort(1)[:, :mtry]`` for the level's k splittable
+    nodes in order.  Each node scans every boundary between distinct values
+    of its candidates in draw order and keeps the first that beats the best
+    gain so far (at least 1e-12); rows at or below the threshold go left.
+    """
+    n, d = x.shape
+    boot = rng.integers(0, n, size=n)
+    xb, yb = x[boot], y[boot]
+    nodes = []
+    level = [np.arange(n)]
+    for depth in range(max_depth + 1):
+        splittable = [r for r in level if depth < max_depth and 0 < yb[r].sum() < r.size]
+        draws = iter(rng.random((len(splittable), d)).argsort(1)[:, :mtry] if splittable else ())
+        next_level = []
+        for rows in level:
+            m = rows.size
+            pos = float(yb[rows].sum())
+            node = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1,
+                    "value": float(yb[rows].mean()), "count": m}
+            if depth < max_depth and 0 < pos < m:
+                parent_gini = 2.0 * (pos / m) * (1.0 - pos / m)
+                best_gain, best = 1e-12, None
+                for f in next(draws):
+                    values = sorted(set(xb[rows, f].tolist()))
+                    for lo, hi in zip(values[:-1], values[1:]):
+                        go_left = xb[rows, f] <= lo
+                        n_left, pos_left = float(go_left.sum()), float(yb[rows][go_left].sum())
+                        n_right, pos_right = m - n_left, pos - pos_left
+                        p_left, p_right = pos_left / n_left, pos_right / n_right
+                        child = (
+                            n_left * 2.0 * p_left * (1.0 - p_left)
+                            + n_right * 2.0 * p_right * (1.0 - p_right)
+                        ) / m
+                        if parent_gini - child > best_gain:
+                            best_gain, best = parent_gini - child, (int(f), 0.5 * (lo + hi))
+                if best is not None:
+                    go_left = xb[rows, best[0]] <= best[1]
+                    node.update(feature=best[0], threshold=best[1], value=0.0)
+                    node["left"] = len(next_level)  # made absolute below
+                    next_level += [rows[go_left], rows[~go_left]]
+            nodes.append(node)
+        base = len(nodes)
+        for node in nodes[base - len(level):]:
+            if node["feature"] >= 0:
+                node["left"] += base
+                node["right"] = node["left"] + 1
+        level = next_level
+        if not level:
+            break
+    return nodes

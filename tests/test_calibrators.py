@@ -211,6 +211,19 @@ def test_apply_map_identity_clamps():
     np.testing.assert_array_equal(apply_map(m, [0.2, 0.8]), [0.2, 0.8])
 
 
+def test_apply_map_sends_nan_to_nan_for_every_map_kind():
+    maps = (
+        PlattMap(A=2.0, B=-1.0),
+        IsotonicMap(knots=np.array([0.0, 0.5]), values=np.array([0.2, 0.8])),
+        IdentityMap(),
+    )
+    for m in maps:
+        assert math.isnan(apply_map(m, float("nan")))
+        out = apply_map(m, np.array([0.5, np.nan, 0.25, np.nan]))
+        np.testing.assert_array_equal(np.isnan(out), [False, True, False, True])
+        np.testing.assert_array_equal(out[[0, 2]], apply_map(m, np.array([0.5, 0.25])))
+
+
 def test_pipeline_dispatch():
     data = ScoreSet([0.1, 0.4, 0.6, 0.9], [0, 0, 1, 1])
     assert isinstance(fit_calibrated_pipeline(data, "platt"), PlattMap)

@@ -132,6 +132,18 @@ def test_auc_matches_pair_counting_oracle():
         )
 
 
+def test_auc_mid_ranks_match_scipy_rankdata_under_heavy_ties():
+    rng = np.random.default_rng(5)
+    for n, grid in ((50, 3), (2000, 7), (20000, 100)):
+        scores = rng.integers(0, grid, size=n) / grid
+        labels = (rng.random(n) < 0.3 + 0.4 * scores).astype(int)
+        ranks = scipy.stats.rankdata(scores)
+        n_pos = int(labels.sum())
+        n_neg = n - n_pos
+        expected = (float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert auc(scores, labels) == expected
+
+
 def test_mce_dominates_ece_everywhere():
     for probs, labels in _random_prediction_sets(seed=7, cases=200, max_n=80):
         assert mce(probs, labels, bins=10) >= ece(probs, labels, bins=10) - 1e-15

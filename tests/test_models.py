@@ -25,6 +25,8 @@ from calibench import (
 from calibench.errors import DimensionMismatchError, NotConvergedError, SingleClassError
 from calibench.models import LogisticModel
 
+from oracles import slow_forest_tree
+
 
 def _dataset(features, labels, seed=0):
     features = np.asarray(features, dtype=float)
@@ -195,12 +197,154 @@ def test_forest_split_semantics_left_is_at_most_threshold():
     assert predict_forest(fitted, [0.75]) >= 0.8
 
 
+def _tree_rows(tree, x):
+    """Route rows of ``x`` through ``tree``: node -> indices of the rows reaching it."""
+    reach = {0: np.arange(x.shape[0])}
+    for node in range(tree.feature.size):  # a parent's number precedes its children's
+        if tree.feature[node] >= 0 and node in reach:
+            rows = reach[node]
+            go_left = x[rows, tree.feature[node]] <= tree.threshold[node]
+            reach[tree.left[node]] = rows[go_left]
+            reach[tree.right[node]] = rows[~go_left]
+    return reach
+
+
+def _gini_gain(y, go_left):
+    gini = lambda v: 2.0 * v.mean() * (1.0 - v.mean()) if v.size else 0.0
+    left, right = y[go_left], y[~go_left]
+    return gini(y) - (left.size * gini(left) + right.size * gini(right)) / y.size
+
+
+def _check_splits(data, seed, tree_count, max_depth) -> int:
+    """Route each tree's bootstrap (the first draw of ``default_rng([seed, t])``)
+    through it and check every node against brute force; returns the split count."""
+    model = fit_forest(data, tree_count=tree_count, max_depth=max_depth, seed=seed)
+    splits = 0
+    for t, tree in enumerate(model.trees):
+        boot = np.random.default_rng([seed, t]).integers(0, data.n, size=data.n)
+        x, y = data.features[boot], data.labels[boot].astype(float)
+        reach = _tree_rows(tree, x)
+        assert sorted(reach) == list(range(tree.feature.size))
+        for node in range(tree.feature.size):
+            rows = reach[node]
+            assert tree.count[node] == rows.size
+            if tree.feature[node] < 0:
+                assert tree.value[node] == y[rows].mean()
+                continue
+            splits += 1
+            assert tree.count[tree.left[node]] + tree.count[tree.right[node]] == tree.count[node]
+            column = x[rows, tree.feature[node]]
+            xs = np.unique(column)
+            mids = 0.5 * (xs[:-1] + xs[1:])
+            gains = [_gini_gain(y[rows], column <= m) for m in mids]
+            chosen = _gini_gain(y[rows], column <= tree.threshold[node])
+            assert tree.threshold[node] in mids
+            assert chosen > 1e-12
+            assert chosen >= max(gains) - 1e-12
+    return splits
+
+
+def test_forest_splits_are_gini_optimal_midpoints_on_the_bootstrap():
+    assert _check_splits(generate_synthetic(SyntheticConfig(300, 5, 11)), 4, 1, 6) >= 10
+    # a balanced 2x2 table: a bootstrap holding each row once gains exactly 0
+    # from its only split, so it must stay a leaf
+    balanced = _dataset([[0.0], [0.0], [1.0], [1.0]], [0, 1, 0, 1])
+    _check_splits(balanced, 0, 64, 3)
+
+
+def test_forest_matches_the_node_by_node_oracle_bit_for_bit():
+    rng = np.random.default_rng(21)
+    cases = [
+        (np.round(rng.random((150, 5)), 1), 6),  # heavy ties
+        (rng.random((120, 4)), 5),
+        (np.round(rng.random((80, 1)), 2), 8),
+    ]
+    for features, depth in cases:
+        labels = (features.sum(axis=1) + 0.3 * rng.standard_normal(features.shape[0])
+                  > 0.5 * features.shape[1]).astype(int)
+        data = _dataset(features, labels)
+        model = fit_forest(data, tree_count=12, max_depth=depth, seed=7)
+        mtry = max(1, math.isqrt(data.d))
+        for t, tree in enumerate(model.trees):
+            expected = slow_forest_tree(
+                data.features, data.labels, depth, mtry, np.random.default_rng([7, t])
+            )
+            for name in ("feature", "threshold", "left", "right", "value", "count"):
+                assert getattr(tree, name).tolist() == [node[name] for node in expected], (t, name)
+
+
+def test_forest_trees_do_not_depend_on_the_block():
+    data = generate_synthetic(SyntheticConfig(200, 6, 8))
+    fields = ("feature", "threshold", "left", "right", "value", "count")
+    many = fit_forest(data, 25, 6, seed=5).trees
+    for count in (1, 10, 13):
+        few = fit_forest(data, count, 6, seed=5).trees
+        assert len(few) == count
+        for a, b in zip(few, many):
+            for name in fields:
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def _running_sum_predict(model, x):
+    """The reference: each tree walked on its own, summed tree by tree."""
+    total = np.zeros(x.shape[0])
+    for tree in model.trees:
+        out = np.empty(x.shape[0])
+        for r, row in enumerate(x):
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = row[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            out[r] = tree.value[node]
+        total += out
+    return total / model.tree_count
+
+
+def _depth_first(tree):
+    """``tree`` renumbered in pre-order (left subtree first), as a JSON dict."""
+    order = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if tree.feature[node] >= 0:
+            stack += [tree.right[node], tree.left[node]]
+    new = {old: i for i, old in enumerate(order)}
+    child = lambda c: -1 if c < 0 else new[c]
+    return {
+        "feature": [int(tree.feature[o]) for o in order],
+        "threshold": [float(tree.threshold[o]) for o in order],
+        "left": [child(tree.left[o]) for o in order],
+        "right": [child(tree.right[o]) for o in order],
+        "value": [float(tree.value[o]) for o in order],
+        "count": [int(tree.count[o]) for o in order],
+    }
+
+
+def test_predict_forest_equals_the_running_sum_oracle():
+    data = generate_synthetic(SyntheticConfig(300, 4, 12))
+    probe = np.vstack([np.random.default_rng(3).random((60, 4)), data.features[:40]])
+    model = fit_forest(data, tree_count=17, max_depth=7, seed=2)
+    expected = _running_sum_predict(model, probe)
+    np.testing.assert_array_equal(predict_forest(model, probe), expected)
+    assert predict_forest(model, probe[5]) == expected[5]
+
+    payload = model_to_json(model)
+    payload["forest"]["trees"] = [_depth_first(tree) for tree in model.trees]
+    loaded = model_from_json(payload)
+    assert all(tree.left[0] == 1 for tree in loaded.trees)  # pre-order: root, then its left child
+    np.testing.assert_array_equal(_running_sum_predict(loaded, probe), expected)
+    np.testing.assert_array_equal(predict_forest(loaded, probe), expected)
+
+
 def test_forest_validation():
     data = generate_synthetic(SyntheticConfig(50, 2, 0))
     with pytest.raises(ValueError):
         fit_forest(data, tree_count=0)
     with pytest.raises(ValueError):
         fit_forest(data, max_depth=0)
+    with pytest.raises(ValueError):
+        fit_forest(_dataset(np.zeros((4, 0)), [0, 1, 0, 1]))
 
 
 # ---------------------------------------------------------------------------
