@@ -169,8 +169,7 @@ def fit_platt(
     else:
         t = y.astype(np.float64)
 
-    def objective(a: float, b: float) -> float:
-        z = a * s + b
+    def objective(z, a: float, b: float) -> float:  # z = a * s + b
         return float(np.sum(np.logaddexp(0.0, z) - t * z)) + 0.5 * ridge * (a * a + b * b)
 
     A = 0.0
@@ -200,12 +199,12 @@ def fit_platt(
             dB = -(h_aa * gB - h_ab * gA) / det
         else:  # singular Hessian: fall back to a gradient step
             dA, dB = -gA, -gB
-        current = objective(A, B)
+        current = objective(z, A, B)
         eta = 1.0
         for _ in range(60):
             cand_a = A + eta * dA
             cand_b = B + eta * dB
-            if objective(cand_a, cand_b) <= current:
+            if objective(cand_a * s + cand_b, cand_a, cand_b) <= current:
                 break
             eta *= 0.5
         else:

@@ -3,7 +3,14 @@
 The synthetic generator draws features i.i.d. uniform on [0,1]^d from a
 seeded PCG64 generator and labels each row 1 exactly when x1 + x2 > 1.
 CSV ingestion is strict: every non-label column must parse as a finite
-number and the label column must hold only 0/1.
+number and the label column must hold only 0/1.  NumPy's C reader
+(``np.loadtxt``) parses the data rows, and its result is kept only where
+the row-wise ``csv`` parser would give the same: one row per physical
+line, as many columns as the header, every value finite, every label
+exactly 0 or 1.  Any other file goes to the row-wise parser, which names
+the first bad row or loads what the C reader turned down (quoted cells,
+``1_0``), so the set of accepted files and every value and error are the
+same either way.
 
 Stratified splitting shuffles each class with its own seeded permutation
 and deals samples so per-class counts match the requested ratio to within
@@ -15,6 +22,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,12 +175,77 @@ def _parse_number(cell: str, row: int, column: str) -> float:
     return value
 
 
+def _parse_in_c(path: str, label_column: str):
+    """``(header, rows)`` of a headed CSV, its data rows parsed by NumPy's C
+    reader into a float matrix, or None when the row-wise parser must
+    read the file.
+
+    The matrix is used only where the row-wise parser would load the same
+    values: one row per physical line (``loadtxt`` skips blank lines, which
+    the row parser rejects), as many columns as the header, every value
+    finite, and every label exactly 0.0 or 1.0.  A file turned down here
+    (an empty body, a quoted or ragged cell, ``1_0``, a decoding error)
+    goes to the row parser, which loads it or raises the error and row
+    number it always has.
+    """
+    with open(path, "r", newline="") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            return None
+        first = re.match(r"[^\r\n]*", text).group()
+        header = [name.strip() for name in first.split(",")]
+        # a quoted header may span lines and unquotes its names: csv decides
+        if '"' in first or label_column not in header:
+            return None
+        lines = text.count("\n") + (not text.endswith(("\r", "\n")))
+        if "\r" in text:
+            lines += text.count("\r") - text.count("\r\n")
+        if lines < 2:
+            return None
+        # the row parser rejects a cell longer than csv.field_size_limit();
+        # a line break in every aligned window of half that length rules
+        # such a cell out
+        step = csv.field_size_limit() // 2
+        for start in range(0, len(text) - step + 1, step):
+            if text.find("\n", start, start + step) < 0 and text.find("\r", start, start + step) < 0:
+                return None
+        del text
+        handle.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a body of blank lines only warns
+            try:
+                rows = np.loadtxt(handle, delimiter=",", comments=None, skiprows=1, ndmin=2)
+            except ValueError:
+                return None
+    if rows.shape != (lines - 1, len(header)) or not np.isfinite(rows).all():
+        return None
+    label = rows[:, header.index(label_column)]
+    if not ((label == 0.0) | (label == 1.0)).all():
+        return None
+    return header, rows
+
+
 def load_csv(path: str, label_column: str = "y") -> Dataset:
     """Read a headed CSV into a Dataset.
 
     All non-label columns become features in header order.  Rows are
     reported 1-based (the header is row 0) in error messages.
     """
+    parsed = _parse_in_c(path, label_column)
+    if parsed is None or len(parsed[0]) < 2:
+        return _load_csv_rows(path, label_column)
+    header, rows = parsed
+    label_pos = header.index(label_column)
+    return Dataset(
+        np.delete(rows, label_pos, axis=1),
+        rows[:, label_pos].astype(np.int64),
+        tuple(name for i, name in enumerate(header) if i != label_pos),
+        Provenance.from_file(path),
+    )
+
+
+def _load_csv_rows(path: str, label_column: str) -> Dataset:
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -224,6 +298,14 @@ def save_csv(data: Dataset, path: str, label_column: str = "y") -> None:
 
 def load_score_csv(path: str) -> ScoreSet:
     """Read a score file (columns ``score`` and ``y``) into a ScoreSet."""
+    parsed = _parse_in_c(path, "y")
+    if parsed is None or "score" not in parsed[0]:
+        return _load_score_csv_rows(path)
+    header, rows = parsed
+    return ScoreSet(rows[:, header.index("score")], rows[:, header.index("y")].astype(np.int64))
+
+
+def _load_score_csv_rows(path: str) -> ScoreSet:
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
         try:

@@ -51,6 +51,10 @@ class NotConvergedError(CalibenchError):
     """An iterative fit hit max_iter before meeting its tolerance."""
 
 
+class MalformedModelError(CalibenchError):
+    """A serialized model describes no valid model (e.g. a tree with a cycle)."""
+
+
 # --- calibration ------------------------------------------------------------
 
 class DegenerateLabelsError(CalibenchError):

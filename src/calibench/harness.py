@@ -450,15 +450,23 @@ def _cells(config: ExperimentConfig):
     every CV cell in repeat-major order.
 
     Score files are read as their cell comes up, the test file first; the
-    calibration file only when some method needs it.  An in-repo model is
+    calibration file only when some method needs it.  Each path is parsed
+    once per run, however many entries name it.  An in-repo model is
     fit per cell on the fit part of the fold's training rows and scores
     the calibration part and the test rows.
     """
     if isinstance(config.source, ScoreFileSource):
         needs_cal = any(m != "uncalibrated" for m in config.methods)
+        parsed = {}
+
+        def read(path):
+            if path not in parsed:
+                parsed[path] = load_score_csv(path)
+            return parsed[path]
+
         for index, entry in enumerate(config.source.entries):
-            test_scores = load_score_csv(entry.test)
-            cal_scores = load_score_csv(entry.cal) if needs_cal else None
+            test_scores = read(entry.test)
+            cal_scores = read(entry.cal) if needs_cal else None
             repeat, fold = divmod(index, config.folds)
             yield repeat, fold, cal_scores, test_scores
         return

@@ -112,6 +112,10 @@ def reliability_bins(probs, labels, bins: int = 10) -> BinStats:
     edge exclusive, last bin closed at 1.0); counts sum to n.
     """
     p, y = _validate_pairs(probs, labels)
+    return _reliability_bins(p, y, bins)
+
+
+def _reliability_bins(p, y, bins: int) -> BinStats:
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     # edge i is i/bins correctly rounded, so bin membership is reproducible
@@ -141,6 +145,10 @@ def mce(probs, labels, bins: int = 10) -> float:
 def brier(probs, labels) -> float:
     """Mean squared error between probabilities and binary outcomes."""
     p, y = _validate_pairs(probs, labels)
+    return _brier(p, y)
+
+
+def _brier(p, y) -> float:
     return float(np.mean((p - y) ** 2))
 
 
@@ -149,6 +157,10 @@ def log_loss(probs, labels, epsilon: float = 1e-15) -> float:
     p, y = _validate_pairs(probs, labels)
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon}")
+    return _log_loss(p, y, epsilon)
+
+
+def _log_loss(p, y, epsilon: float) -> float:
     q = np.clip(p, epsilon, 1.0 - epsilon)
     return float(-np.mean(y * np.log(q) + (1 - y) * np.log1p(-q)))
 
@@ -163,11 +175,15 @@ def auc(scores, labels) -> float:
     y = as_binary_labels(labels)
     if s.size != y.size:
         raise LengthMismatchError(f"scores and labels differ in length: {s.size} vs {y.size}")
+    return _auc(s, y, np.argsort(s, kind="mergesort"))
+
+
+def _auc(s, y, order) -> float:
+    """AUC of validated pairs; ``order`` is ``s``'s stable argsort."""
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("AUC needs at least one positive and one negative label")
-    order = np.argsort(s, kind="mergesort")
     ranks = np.empty(s.size, dtype=np.float64)
     sorted_scores = s[order]
     # mid-ranks: average the 1-based positions within each tie group
@@ -191,9 +207,13 @@ def hosmer_lemeshow(probs, labels, groups: int = 10):
     Returns ``(statistic, p_value)``.
     """
     p, y = _validate_pairs(probs, labels)
+    return _hosmer_lemeshow(p, y, groups, np.argsort(p, kind="mergesort"))
+
+
+def _hosmer_lemeshow(p, y, groups: int, order):
+    """Hosmer-Lemeshow of validated pairs; ``order`` is ``p``'s stable argsort."""
     if groups < 3 or p.size < groups:
         raise TooFewGroupsError(f"need n >= groups >= 3, got n={p.size}, groups={groups}")
-    order = np.argsort(p, kind="mergesort")
     cells = []  # (observed positives, expected positives, count)
     for chunk in np.array_split(order, groups):
         cells.append((float(y[chunk].sum()), float(p[chunk].sum()), len(chunk)))
@@ -239,18 +259,19 @@ def metric_report(probs, labels, bins: int = 10, hl_groups: int = 10) -> MetricR
     benchmark loops never abort on an edge-case fold.
     """
     p, y = _validate_pairs(probs, labels)
-    bin_stats = reliability_bins(p, y, bins)
+    bin_stats = _reliability_bins(p, y, bins)
     e = bin_stats.ece()
+    order = np.argsort(p, kind="mergesort")  # shared by Hosmer-Lemeshow and AUC
     try:
-        hl_stat, hl_p = hosmer_lemeshow(p, y, hl_groups)
+        hl_stat, hl_p = _hosmer_lemeshow(p, y, hl_groups, order)
     except (TooFewGroupsError, DegenerateGroupingError):
         hl_stat, hl_p = float("nan"), float("nan")
     return MetricReport(
         ece=e,
         mce=bin_stats.mce(),
-        brier=brier(p, y),
-        log_loss=log_loss(p, y),
-        auc=auc(p, y),
+        brier=_brier(p, y),
+        log_loss=_log_loss(p, y, 1e-15),
+        auc=_auc(p, y, order),
         reliability=1.0 - e,
         hl_statistic=hl_stat,
         hl_p_value=hl_p,

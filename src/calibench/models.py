@@ -37,7 +37,12 @@ import numpy as np
 
 from .calibrators import ScoreSet
 from .datasets import Dataset
-from .errors import DimensionMismatchError, NotConvergedError, SingleClassError
+from .errors import (
+    DimensionMismatchError,
+    MalformedModelError,
+    NotConvergedError,
+    SingleClassError,
+)
 from ._util import readonly, sigmoid
 
 __all__ = [
@@ -513,11 +518,49 @@ def model_from_json(payload: dict):
             )
             for t in body["trees"]
         )
-        return ForestModel(
+        model = ForestModel(
             trees=trees,
             tree_count=int(body["tree_count"]),
             max_depth=int(body["max_depth"]),
             seed=int(body["seed"]),
             feature_count=int(body["feature_count"]),
         )
+        _check_forest(model)
+        return model
     raise ValueError(f"unknown model kind {kind!r}")
+
+
+def _check_forest(model: ForestModel) -> None:
+    """Raise :class:`MalformedModelError` unless every tree is one that
+    :func:`predict_forest` can walk to a leaf and the mean is over them all.
+
+    Each child's index exceeds its parent's, so every walk ends; any
+    numbering with that property loads, breadth-first or depth-first.
+    """
+    if not model.trees:
+        raise MalformedModelError("a forest needs at least one tree")
+    if model.tree_count != len(model.trees):
+        raise MalformedModelError(
+            f"tree_count {model.tree_count} does not match the {len(model.trees)} trees given"
+        )
+    for index, tree in enumerate(model.trees):
+        size = tree.feature.size
+        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.count)
+        if size == 0 or any(a.shape != (size,) for a in arrays):
+            raise MalformedModelError(f"tree {index}: node arrays must share one non-zero length")
+        split = tree.feature >= 0
+        if (tree.feature[split] >= model.feature_count).any() or (tree.feature[~split] != -1).any():
+            raise MalformedModelError(
+                f"tree {index}: a split feature must lie in [0, {model.feature_count}), a leaf's be -1"
+            )
+        if (tree.left[~split] != -1).any() or (tree.right[~split] != -1).any():
+            raise MalformedModelError(f"tree {index}: a leaf's children must both be -1")
+        parent = np.flatnonzero(split)
+        for child in (tree.left[split], tree.right[split]):
+            if ((child <= parent) | (child >= size)).any():
+                raise MalformedModelError(
+                    f"tree {index}: a child's index must exceed its parent's and be < {size}"
+                )
+        leaf_value = tree.value[~split]
+        if not ((leaf_value >= 0.0) & (leaf_value <= 1.0)).all():
+            raise MalformedModelError(f"tree {index}: a leaf's value must lie in [0, 1]")

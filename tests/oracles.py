@@ -1,10 +1,23 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately brute force: exhaustive enumeration and
-per-sample Python loops, sharing no code with the package under test.
+per-sample Python loops, sharing no code with the package under test
+(the row-wise CSV loaders build the package's own result and error types).
 """
 
+import csv
+import math
+
 import numpy as np
+
+from calibench.calibrators import ScoreSet
+from calibench.datasets import Dataset, Provenance
+from calibench.errors import (
+    EmptyFileError,
+    MissingColumnError,
+    NonBinaryLabelError,
+    NonNumericFeatureError,
+)
 
 
 def brute_force_isotonic(scores, labels):
@@ -167,3 +180,107 @@ def slow_forest_tree(x, y, max_depth, mtry, rng):
         if not level:
             break
     return nodes
+
+
+# ---------------------------------------------------------------------------
+# row-wise CSV loaders: one csv row at a time, one float() per cell
+# ---------------------------------------------------------------------------
+
+def _row_label(cell: str, row: int):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise NonBinaryLabelError(
+            f"row {row}: label {cell!r} is not 0 or 1"
+        ) from None
+    if value == 0.0:
+        return 0
+    if value == 1.0:
+        return 1
+    raise NonBinaryLabelError(f"row {row}: label {cell!r} is not 0 or 1")
+
+
+def _row_number(cell: str, row: int, column: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise NonNumericFeatureError(
+            f"row {row}, column {column!r}: {cell!r} is not a number"
+        ) from None
+    if not math.isfinite(value):
+        raise NonNumericFeatureError(
+            f"row {row}, column {column!r}: {cell!r} is not finite"
+        )
+    return value
+
+
+def row_load_csv(path: str, label_column: str = "y") -> Dataset:
+    """``datasets.load_csv`` as it was before the C parse: the reference for
+    every value, error class, message and row number it gives."""
+    with open(path, "r", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyFileError(f"{path}: file is empty") from None
+        header = [name.strip() for name in header]
+        if label_column not in header:
+            raise MissingColumnError(
+                f"{path}: label column {label_column!r} not in header {header}"
+            )
+        label_pos = header.index(label_column)
+        feature_names = tuple(name for i, name in enumerate(header) if i != label_pos)
+        if not feature_names:
+            raise MissingColumnError(f"{path}: no feature columns besides {label_column!r}")
+        rows = []
+        labels = []
+        for row_number, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise NonNumericFeatureError(
+                    f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
+                )
+            labels.append(_row_label(row[label_pos].strip(), row_number))
+            rows.append(
+                [
+                    _row_number(cell.strip(), row_number, header[i])
+                    for i, cell in enumerate(row)
+                    if i != label_pos
+                ]
+            )
+    if not rows:
+        raise EmptyFileError(f"{path}: no data rows")
+    return Dataset(
+        np.asarray(rows, dtype=np.float64),
+        np.asarray(labels, dtype=np.int64),
+        feature_names,
+        Provenance.from_file(path),
+    )
+
+
+def row_load_score_csv(path: str) -> ScoreSet:
+    """``datasets.load_score_csv`` as it was before the C parse."""
+    with open(path, "r", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise EmptyFileError(f"{path}: file is empty") from None
+        for required in ("score", "y"):
+            if required not in header:
+                raise MissingColumnError(
+                    f"{path}: column {required!r} not in header {header}"
+                )
+        score_pos = header.index("score")
+        label_pos = header.index("y")
+        scores = []
+        labels = []
+        for row_number, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise NonNumericFeatureError(
+                    f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
+                )
+            scores.append(_row_number(row[score_pos].strip(), row_number, "score"))
+            labels.append(_row_label(row[label_pos].strip(), row_number))
+    if not scores:
+        raise EmptyFileError(f"{path}: no data rows")
+    return ScoreSet(np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64))

@@ -1,7 +1,11 @@
 """Dataset generation, CSV I/O, feature selection, and split machinery."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from calibench import (
     Dataset,
@@ -29,6 +33,8 @@ from calibench.errors import (
     NonNumericFeatureError,
     TooFewSamplesPerClassError,
 )
+from calibench import datasets
+from oracles import row_load_csv, row_load_score_csv
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +171,111 @@ def test_score_csv_round_trip(tmp_path):
     back = load_score_csv(str(path))
     np.testing.assert_array_equal(back.scores, scores.scores)
     np.testing.assert_array_equal(back.labels, scores.labels)
+
+
+def _mostly(common, rare):
+    """``common`` in nine draws out of ten, else ``rare``."""
+    return st.integers(0, 9).flatmap(lambda k: rare if k == 0 else common)
+
+
+# cells that parse in C and by float() alike, mostly; else cells that only
+# float() accepts, or that the row parser rejects
+_CELL = _mostly(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.sampled_from(["-0.0", "1e-3", "2.5E+2", " 0.25 ", "\t1", "+.5", "5."]),
+    st.sampled_from([
+        "1e400", "nan", "-inf", "Infinity", '"0.5"', '"1"', "1_0", "0.5#x", "#",
+        "", " ", "abc", "0x10", "\x000",
+    ])
+    | st.text(alphabet="019.-+eE_# \t\"", max_size=5),
+)
+_LABEL = _mostly(
+    st.sampled_from(["0", "1", "0.0", "1.0", "-0", " 1 ", "1e0", "-0.0"]),
+    st.sampled_from(["2", "0.5", "nan", "", '"1"', "1_0"]),
+)
+
+
+@st.composite
+def _csv_file(draw, label, others):
+    """A CSV body: header in any column order, then rows that may be ragged,
+    interleaved with blank or whitespace-only lines, with LF, CRLF or CR
+    line ends and with or without a final line end."""
+    columns = draw(st.permutations([label] + others))
+    lines = [",".join(draw(st.sampled_from([c, f" {c}", f'"{c}"'])) for c in columns)]
+    for _ in range(draw(st.integers(0, 5))):
+        cells = [draw(_LABEL if c == label else _CELL) for c in columns]
+        ragged = draw(st.sampled_from([0] * 18 + [-1, 1]))
+        lines.append(",".join(cells[:ragged] if ragged < 0 else cells + ["0"] * ragged))
+        lines.append(draw(st.sampled_from([None] * 18 + ["", "  "])))
+    lines = [line for line in lines if line is not None]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, "", end + end]))
+
+
+def _outcome(load, path):
+    """Everything a loader gives: its arrays' bytes, or its error and message."""
+    try:
+        data = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(data, ScoreSet):
+        return data.scores.tobytes(), data.labels.tobytes()
+    return (
+        data.features.tobytes(), data.features.shape, data.labels.tobytes(),
+        data.feature_names, data.provenance,
+    )
+
+
+_EQUIVALENCE = settings(
+    max_examples=400, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_EQUIVALENCE
+@given(body=_csv_file("y", ["score"]) | _csv_file("y", ["score", "id"]))
+def test_load_score_csv_matches_the_row_parser(tmp_path, body):
+    path = tmp_path / "scores.csv"
+    path.write_text(body, newline="")
+    assert _outcome(load_score_csv, str(path)) == _outcome(row_load_score_csv, str(path))
+
+
+@_EQUIVALENCE
+@given(body=_csv_file("y", ["x1"]) | _csv_file("y", ["x1", "x2", "x3"]) | _csv_file("y", []))
+def test_load_csv_matches_the_row_parser(tmp_path, body):
+    path = tmp_path / "data.csv"
+    path.write_text(body, newline="")
+    assert _outcome(load_csv, str(path)) == _outcome(row_load_csv, str(path))
+
+
+@pytest.mark.parametrize("body", [
+    "score,y\n0.1,0\n0.9,1\n",
+    "y,score\r\n1,0.9\r\n-0,-0.0\r\n",
+    "score,y\r0.25,1\r1e-3,0",
+    " id , score , y \n7, 0.5 ,1.0\n8,2.5E-1\t,0\n",
+])
+def test_clean_score_files_never_reach_the_row_parser(tmp_path, monkeypatch, body):
+    path = tmp_path / "scores.csv"
+    path.write_text(body, newline="")
+    want = _outcome(row_load_score_csv, str(path))
+    monkeypatch.setattr(datasets, "_load_score_csv_rows", None)
+    assert _outcome(load_score_csv, str(path)) == want
+
+
+def test_a_cell_past_the_csv_field_limit_fails_as_before(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("score,y\n0.5,1\n" + " " * 200_000 + "0.25,0\n")
+    assert _outcome(load_score_csv, str(path)) == _outcome(row_load_score_csv, str(path))
+    assert _outcome(load_score_csv, str(path))[0] is csv.Error
+
+
+def test_clean_dataset_files_never_reach_the_row_parser(tmp_path, monkeypatch):
+    data = generate_synthetic(SyntheticConfig(n=40, d=3, seed=5))
+    path = tmp_path / "data.csv"
+    save_csv(data, str(path))
+    want = _outcome(row_load_csv, str(path))
+    monkeypatch.setattr(datasets, "_load_csv_rows", None)
+    assert _outcome(load_csv, str(path)) == want
 
 
 # ---------------------------------------------------------------------------

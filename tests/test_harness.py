@@ -7,12 +7,14 @@ import json
 import numpy as np
 import pytest
 
+from calibench import cli, harness
 from calibench.calibrators import ScoreSet, apply_map
 from calibench.datasets import (
     Dataset,
     Provenance,
     SyntheticConfig,
     generate_synthetic,
+    load_score_csv,
     save_score_csv,
 )
 from calibench.errors import (
@@ -44,6 +46,8 @@ from calibench.harness import (
     table_to_json,
 )
 from calibench.stats import paired_t_test
+
+from oracles import row_load_score_csv
 
 
 def small_config(**overrides):
@@ -367,6 +371,57 @@ def test_external_benchmark_uncalibrated_needs_no_cal_files(tmp_path):
     )
     table = run_repeated_cv(config)
     assert len(table.records) == 2
+
+
+def _cross_fitted(tmp_path, n=300):
+    """Two score files, each the other's calibration set (2 folds x 1 repeat)."""
+    rng = np.random.default_rng(21)
+    paths = []
+    for name in ("a", "b"):
+        s = rng.random(n)
+        paths.append(str(tmp_path / f"{name}.csv"))
+        save_score_csv(ScoreSet(s, (rng.random(n) < s ** 2).astype(np.int64)), paths[-1])
+    a, b = paths
+    config = ExperimentConfig(
+        source=ScoreFileSource((ScoreFilePair(test=b, cal=a), ScoreFilePair(test=a, cal=b))),
+        model=ExternalSpec(),
+        methods=("uncalibrated", "platt", "isotonic"),
+        folds=2,
+        repeats=1,
+    )
+    return config, a, b
+
+
+def test_external_run_parses_each_score_file_once(tmp_path, monkeypatch):
+    config, a, b = _cross_fitted(tmp_path)
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return load_score_csv(path)
+
+    monkeypatch.setattr(harness, "load_score_csv", counting)
+    run_repeated_cv(config)
+    assert calls == [b, a]  # the first entry's test file, then its cal file
+
+
+def test_external_results_match_the_row_parser_byte_for_byte(tmp_path, monkeypatch):
+    config, _, _ = _cross_fitted(tmp_path)
+    fast = json.dumps(table_to_json(run_repeated_cv(config)))
+    monkeypatch.setattr(harness, "load_score_csv", row_load_score_csv)
+    assert json.dumps(table_to_json(run_repeated_cv(config))) == fast
+
+
+def test_external_run_with_a_bad_cal_file_is_a_data_error(tmp_path, capsys):
+    config, a, _ = _cross_fitted(tmp_path)
+    with open(a, "a") as handle:
+        handle.write("0.5\n")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_json(config)))
+    out = tmp_path / "results.json"
+    assert cli.main(["benchmark", "--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {a}: row 301 has 1 cells, expected 2\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

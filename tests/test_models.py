@@ -1,6 +1,10 @@
 """Base classifiers: logistic regression and the bagged tree forest."""
 
+import contextlib
+import copy
+import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from calibench import (
     select_features,
     stratified_split,
 )
+from calibench import errors
 from calibench.errors import DimensionMismatchError, NotConvergedError, SingleClassError
 from calibench.models import LogisticModel
 
@@ -371,12 +376,80 @@ def test_model_json_round_trips():
     )
 
     forest = fit_forest(data, tree_count=8, max_depth=4, seed=1)
-    back = model_from_json(model_to_json(forest))
+    text = json.dumps(model_to_json(forest))
+    back = model_from_json(json.loads(text))
     np.testing.assert_array_equal(
         predict_forest(back, probe), predict_forest(forest, probe)
     )
+    assert json.dumps(model_to_json(back)) == text
 
 
 def test_model_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         model_from_json({"svm": {}})
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail instead of hanging when the body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _stump():
+    """A one-tree forest JSON: node 0 splits on x1 at 0.5 into leaves 1, 2."""
+    return {"forest": {
+        "tree_count": 1, "max_depth": 1, "seed": 0, "feature_count": 2,
+        "trees": [{
+            "feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+            "left": [1, -1, -1], "right": [2, -1, -1],
+            "value": [0.0, 0.25, 0.75], "count": [4, 2, 2],
+        }],
+    }}
+
+
+def test_stump_fixture_loads_and_predicts():
+    model = model_from_json(_stump())
+    np.testing.assert_array_equal(predict_forest(model, [[0.2, 0.0], [0.8, 0.0]]), [0.25, 0.75])
+
+
+def _set(field, index, value):
+    def edit(tree):
+        tree[field][index] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("left", 0, 0), "exceed its parent"),        # a self-loop: the walk never ends
+    (_set("right", 0, 3), "exceed its parent"),       # past the last node
+    (_set("right", 0, -1), "exceed its parent"),
+    (lambda tree: tree["threshold"].pop(), "share one non-zero length"),
+    (lambda tree: [tree[k].clear() for k in tree], "share one non-zero length"),
+    (_set("right", 1, 2), "leaf's children"),
+    (_set("feature", 0, 2), r"\[0, 2\)"),
+    (_set("feature", 2, -2), r"\[0, 2\)"),
+    (_set("value", 1, float("nan")), r"\[0, 1\]"),
+])
+def test_model_from_json_rejects_a_malformed_tree(edit, message):
+    payload = _stump()
+    edit(payload["forest"]["trees"][0])
+    with _within(5), pytest.raises(errors.MalformedModelError, match=message):
+        predict_forest(model_from_json(payload), [[0.2, 0.0], [0.8, 0.0]])
+
+
+@pytest.mark.parametrize("tree_count, trees", [(2, 1), (0, 0)])
+def test_model_from_json_rejects_a_wrong_tree_count(tree_count, trees):
+    payload = _stump()
+    body = payload["forest"]
+    body["tree_count"] = tree_count
+    body["trees"] = [copy.deepcopy(body["trees"][0]) for _ in range(trees)]
+    with _within(5), pytest.raises(errors.MalformedModelError, match="tree"):
+        predict_forest(model_from_json(payload), [[0.2, 0.0]])
