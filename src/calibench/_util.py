@@ -1,8 +1,14 @@
-"""Small internal helpers shared across modules."""
+"""Small internal helpers shared across modules, and the JSON codec of
+calibench's dataclasses."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import math
+import types
+import typing
 
 import numpy as np
 
@@ -75,3 +81,200 @@ def write_json(path: str, payload) -> None:
     text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     with open(path, "w") as handle:
         handle.write(text)
+
+
+def check_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` if it is an ``int`` (a bool is not) of at least ``minimum``,
+    else ``ValueError`` naming ``name``."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def check_counts(obj) -> None:
+    """:func:`check_int` on every field of dataclass ``obj`` whose metadata
+    gives a ``"min"``."""
+    for field in dataclasses.fields(obj):
+        if "min" in field.metadata:
+            check_int(getattr(obj, field.name), field.name, field.metadata["min"])
+
+
+# ---------------------------------------------------------------------------
+# JSON codec driven by dataclass fields
+# ---------------------------------------------------------------------------
+#
+# A dataclass is a JSON object of its fields, in field order.  A class with a
+# ``json_kind`` attribute is wrapped as ``{json_kind: {field: value}}``; that
+# is how a field typed as a union of such classes says which one it holds.
+# Field metadata ``{"json": "omit"}`` leaves a field out of the file (it
+# takes its default on reading), and ``{"json": "inline"}`` writes a nested
+# dataclass's keys into its parent's object.  A float is written as is, NaN
+# as null and +-inf as "inf"/"-inf"; tuples and arrays are lists.
+
+def float_to_json(value):
+    """A float as JSON holds it: NaN as null, +-inf as "inf"/"-inf"."""
+    value = float(value)
+    if math.isnan(value):
+        return None
+    return value if math.isfinite(value) else str(value)
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    """``(name, annotation, role, field)`` per JSON field of dataclass
+    ``cls``, annotations resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.metadata.get("json"), f)
+        for f in dataclasses.fields(cls)
+        if f.metadata.get("json") != "omit"
+    )
+
+
+@functools.cache
+def _keys(cls) -> tuple:
+    """The keys of the JSON object of dataclass ``cls``."""
+    keys = ()
+    for name, tp, role, _ in _fields(cls):
+        keys += _keys(tp) if role == "inline" else (name,)
+    return keys
+
+
+def to_json(value):
+    """The JSON-ready form of ``value``: a dataclass as the object of its
+    fields (see the notes above), a float through :func:`float_to_json`, a
+    tuple or array as a list; anything else as it is."""
+    if isinstance(value, float):
+        return float_to_json(value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if not dataclasses.is_dataclass(value):
+        return value
+    body = {}
+    for name, tp, role, _ in _fields(type(value)):
+        item = getattr(value, name)
+        if tp is float:
+            item = float_to_json(item)
+        elif tp not in _SCALARS:
+            item = to_json(item)
+        if role == "inline":
+            body.update(item)
+        else:
+            body[name] = item
+    kind = getattr(value, "json_kind", None)
+    return body if kind is None else {kind: body}
+
+
+# annotation -> the JSON type of its values, and its name in messages
+_JSON_TYPES = {
+    bool: (bool, "true or false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    tuple: (list, "a list"),
+    np.ndarray: (list, "a list"),
+}
+_SCALARS = (bool, int, str)  # annotations whose values JSON holds as they are
+
+
+def from_json(tp, value, root: str):
+    """Inverse of :func:`to_json` for a value of annotation ``tp``.
+
+    Strict: an unknown key or a value of the wrong JSON type (``true`` or
+    ``1.5`` as an integer, a string as a number, a list as a float) raises
+    ``ValueError``; a missing key without a default raises ``KeyError``.
+    A float also reads null as NaN and "inf"/"-inf".  Each message is one
+    line and names the key path, such as ``records[0].metrics``; ``root``
+    names the top-level value.
+    """
+    return _read(tp, value, "", root)
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _read(tp, value, path: str, root: str, minimum: int | None = None):
+    where = path or root
+    if tp is int:
+        return check_int(value, where, minimum)
+    if tp is float and (value is None or value in ("inf", "-inf")):
+        return math.nan if value is None else float(value)
+    origin = None
+    if tp not in _JSON_TYPES:  # a union, a dataclass, a tuple[...] or an array
+        origin = typing.get_origin(tp)
+        if origin in (typing.Union, types.UnionType):
+            return _read_union(typing.get_args(tp), value, path, root)
+        if hasattr(tp, "json_kind"):
+            return _read_union((tp,), value, path, root)
+        if dataclasses.is_dataclass(tp):
+            return _read_object(tp, value, path, root)
+    base = origin or tp
+    json_type, name = _JSON_TYPES[base]
+    if not isinstance(value, json_type) or (isinstance(value, bool) and base is not bool):
+        raise ValueError(f"{where} must be {name}, got {value!r}")
+    if base is tuple:
+        item = typing.get_args(tp)[0]
+        return tuple(_read(item, v, f"{where}[{i}]", root) for i, v in enumerate(value))
+    if base is np.ndarray:
+        dtype = typing.get_args(typing.get_args(tp)[1])[0]
+        json_type, name = _JSON_TYPES[int if np.issubdtype(dtype, np.integer) else float]
+        for i, v in enumerate(value):
+            if not isinstance(v, json_type) or isinstance(v, bool):
+                raise ValueError(f"{where}[{i}] must be {name}, got {v!r}")
+    try:
+        if base is np.ndarray:
+            return np.array(value, dtype=dtype)
+        return float(value) if base is float else value
+    except OverflowError:  # an integer beyond the dtype, or beyond a float
+        raise ValueError(f"{where} holds a number out of range") from None
+
+
+def _read_union(members, value, path: str, root: str):
+    where = path or root
+    if value is None and type(None) in members:
+        return None
+    members = [m for m in members if m is not type(None)]
+    if hasattr(members[0], "json_kind"):
+        kinds = {m.json_kind: m for m in members}
+        body = _json_object(value, where, tuple(kinds))
+        if len(body) != 1:
+            raise ValueError(f"{where} must name exactly one of: {', '.join(kinds)}")
+        ((kind, body),) = body.items()
+        return _read_object(kinds[kind], body, _join(path, kind), root)
+    if len(members) == 1:
+        return _read(members[0], value, path, root)
+    for member in members:  # such as str | tuple[int, ...]: the JSON type decides
+        if isinstance(value, _JSON_TYPES[typing.get_origin(member) or member][0]):
+            return _read(member, value, path, root)
+    names = " or ".join(_JSON_TYPES[typing.get_origin(m) or m][1] for m in members)
+    raise ValueError(f"{where} must be {names}, got {value!r}")
+
+
+def _json_object(value, where: str, keys: tuple) -> dict:
+    """``value`` if it is a JSON object whose keys all lie in ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(keys), key=str)
+    if unknown:
+        raise ValueError(
+            f"unknown {where} key {unknown[0]!r}; valid: {', '.join(keys) or 'none'}"
+        )
+    return value
+
+
+def _read_object(cls, value, path: str, root: str):
+    where = path or root
+    body = _json_object(value, where, _keys(cls))
+    args = {}
+    for name, tp, role, field in _fields(cls):
+        if role == "inline":
+            args[name] = _read_object(tp, {k: body[k] for k in _keys(tp) if k in body}, path, root)
+        elif name in body:
+            args[name] = _read(tp, body[name], _join(path, name), root, field.metadata.get("min"))
+        elif field.default is dataclasses.MISSING:
+            raise KeyError(f"{where}: missing key {name!r}")
+    return cls(**args)

@@ -19,9 +19,10 @@ and a sequential stack finishes the stragglers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.typing as npt
 
 from .errors import (
     CalibrationWarning,
@@ -29,7 +30,7 @@ from .errors import (
     LengthMismatchError,
     NotConvergedError,
 )
-from ._util import as_binary_labels, as_float_vector, readonly, sigmoid
+from ._util import as_binary_labels, as_float_vector, from_json, readonly, sigmoid, to_json
 
 __all__ = [
     "METHODS",
@@ -74,12 +75,15 @@ class ScoreSet:
 
 @dataclass(frozen=True)
 class PlattMap:
-    """Fitted sigmoid calibration map s -> sigma(A*s + B)."""
+    """Fitted sigmoid calibration map s -> sigma(A*s + B).  The fit's
+    diagnostics describe how it was found, not the map, and JSON leaves
+    them out."""
 
+    json_kind = "platt"
     A: float
     B: float
-    iterations_used: int = 0
-    final_gradient_norm: float = float("nan")
+    iterations_used: int = field(default=0, metadata={"json": "omit"})
+    final_gradient_norm: float = field(default=float("nan"), metadata={"json": "omit"})
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,9 @@ class IsotonicMap:
     value, above the last knot to the last value.
     """
 
-    knots: np.ndarray
-    values: np.ndarray
+    json_kind = "isotonic"
+    knots: npt.NDArray[np.float64]
+    values: npt.NDArray[np.float64]
 
     def __post_init__(self):
         k = as_float_vector(self.knots, "knots")
@@ -115,6 +120,8 @@ class IsotonicMap:
 @dataclass(frozen=True)
 class IdentityMap:
     """The 'uncalibrated' map: returns its input clamped to [0, 1]."""
+
+    json_kind = "identity"
 
 
 # ---------------------------------------------------------------------------
@@ -357,33 +364,18 @@ def apply_map(calibration_map, score):
 
 
 def map_to_json(calibration_map) -> dict:
-    """Serialize a calibration map to its JSON-ready dict form."""
-    if isinstance(calibration_map, PlattMap):
-        return {"platt": {"A": calibration_map.A, "B": calibration_map.B}}
-    if isinstance(calibration_map, IsotonicMap):
-        return {
-            "isotonic": {
-                "knots": calibration_map.knots.tolist(),
-                "values": calibration_map.values.tolist(),
-            }
-        }
-    if isinstance(calibration_map, IdentityMap):
-        return {"identity": {}}
-    raise TypeError(f"not a calibration map: {type(calibration_map).__name__}")
+    """Serialize a calibration map to its JSON-ready dict form:
+    ``{"platt": {"A", "B"}}``, ``{"isotonic": {"knots", "values"}}`` or
+    ``{"identity": {}}``."""
+    if not isinstance(calibration_map, (PlattMap, IsotonicMap, IdentityMap)):
+        raise TypeError(f"not a calibration map: {type(calibration_map).__name__}")
+    return to_json(calibration_map)
 
 
 def map_from_json(payload: dict):
-    """Inverse of :func:`map_to_json`."""
-    if not isinstance(payload, dict) or len(payload) != 1:
-        raise ValueError("calibration map JSON must hold exactly one map kind")
-    kind, body = next(iter(payload.items()))
-    if kind == "platt":
-        return PlattMap(A=float(body["A"]), B=float(body["B"]))
-    if kind == "isotonic":
-        return IsotonicMap(
-            knots=np.asarray(body["knots"], dtype=np.float64),
-            values=np.asarray(body["values"], dtype=np.float64),
-        )
-    if kind == "identity":
-        return IdentityMap()
-    raise ValueError(f"unknown calibration map kind {kind!r}")
+    """Inverse of :func:`map_to_json`, strict like the config reader; every
+    fault raises ``ValueError``."""
+    try:
+        return from_json(PlattMap | IsotonicMap | IdentityMap, payload, "map")
+    except (KeyError, LengthMismatchError) as exc:
+        raise ValueError(exc.args[0]) from None

@@ -28,7 +28,6 @@ from .errors import CalibenchError, InvalidSpecError, NotConvergedError
 from .harness import (
     ForestSpec,
     LogregSpec,
-    _to_json,
     bootstrap_metric_ci,
     compare_methods,
     config_from_json,
@@ -39,7 +38,7 @@ from .harness import (
     save_results,
 )
 from .metrics import reliability_bins
-from ._util import write_json
+from ._util import to_json, write_json
 
 __all__ = ["main"]
 
@@ -78,7 +77,7 @@ def _cmd_benchmark(args) -> int:
     try:
         config = config_from_json(payload)
     except KeyError as exc:
-        raise _UsageError(f"{args.config}: config missing key {exc}") from None
+        raise _UsageError(f"{args.config}: {exc.args[0]}") from None
     except ValueError as exc:
         raise _UsageError(f"{args.config}: {exc}") from None
     table = run_repeated_cv(config)
@@ -115,7 +114,7 @@ def _cmd_compare(args) -> int:
             "metric": args.metric,
             "family_alpha": args.alpha,
             "bonferroni_threshold": threshold,
-            "comparisons": [_to_json(r) for r in rows],
+            "comparisons": [to_json(r) for r in rows],
         }
         write_json(args.out, payload)
         print(f"wrote {args.out}")

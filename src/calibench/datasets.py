@@ -24,7 +24,7 @@ import csv
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import (
     NonNumericFeatureError,
     TooFewSamplesPerClassError,
 )
-from ._util import as_binary_labels, readonly
+from ._util import as_binary_labels, check_counts, readonly
 
 __all__ = [
     "Provenance",
@@ -117,17 +117,13 @@ class Dataset:
 class SyntheticConfig:
     """Parameters of the synthetic two-informative-feature dataset."""
 
-    n: int
-    d: int
-    seed: int
+    json_kind = "synthetic"
+    n: int = field(metadata={"min": 1})
+    d: int = field(metadata={"min": 2})
+    seed: int = field(metadata={"min": 0})
 
     def __post_init__(self):
-        if not (type(self.n) is int and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (type(self.d) is int and self.d >= 2):
-            raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
-        if not (type(self.seed) is int and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_counts(self)
 
 
 def generate_synthetic(config: SyntheticConfig) -> Dataset:

@@ -51,7 +51,7 @@ class NotConvergedError(CalibenchError):
     """An iterative fit hit max_iter before meeting its tolerance."""
 
 
-class MalformedModelError(CalibenchError):
+class MalformedModelError(CalibenchError, ValueError):
     """A serialized model describes no valid model (e.g. a tree with a cycle)."""
 
 
@@ -116,7 +116,8 @@ class InvalidSpecError(CalibenchError):
 
 
 class SchemaVersionMismatchError(CalibenchError):
-    """A results file was written under an incompatible schema version."""
+    """A results file does not follow the schema this library reads: another
+    schema version, not JSON, or a missing, unknown or mistyped key."""
 
 
 class CalibrationWarning(UserWarning):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .errors import (
 from .metrics import MetricReport, ece, metric_report
 from .models import fit_forest, fit_logistic, score_dataset
 from .stats import IntervalEstimate, PairedComparison, mean_ci, paired_t_test, shapiro_wilk
-from ._util import mix_seed, write_json
+from ._util import check_counts, from_json, mix_seed, to_json, write_json
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -117,17 +117,26 @@ DEFAULT_COMPARISON_METRICS = ("ece", "brier")
 class CsvSource:
     """Benchmark data read from a labeled CSV file."""
 
+    json_kind = "csv"
     path: str
     label_column: str = "y"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScoreFilePair:
     """Pre-computed score files for one (repeat, fold) cell: an optional
-    calibration file and a test file, each with columns ``score,y``."""
+    calibration file and a test file, each with columns ``score,y``.
 
-    test: str
+    The fields are declared ``cal`` first, the order of their JSON keys;
+    the constructor takes ``(test, cal=None)``.
+    """
+
     cal: str | None = None
+    test: str
+
+    def __init__(self, test: str, cal: str | None = None):
+        object.__setattr__(self, "test", test)
+        object.__setattr__(self, "cal", cal)
 
 
 @dataclass(frozen=True)
@@ -135,7 +144,8 @@ class ScoreFileSource:
     """Externally produced scores, one :class:`ScoreFilePair` per
     (repeat, fold) cell in repeat-major order (len == folds * repeats)."""
 
-    entries: tuple
+    json_kind = "scores"
+    entries: tuple[ScoreFilePair, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -148,32 +158,28 @@ class ScoreFileSource:
 class LogregSpec:
     """Use the in-repo logistic regression as the base model."""
 
+    json_kind = model_name = "logreg"
     C: float = 1.0
 
-    @property
-    def model_name(self) -> str:
-        return "logreg"
+    def __post_init__(self):
+        if not 0.0 < self.C < math.inf:
+            raise ValueError(f"C must be a finite number > 0, got {self.C!r}")
 
 
 @dataclass(frozen=True)
 class ForestSpec:
     """Use the in-repo bagged tree forest as the base model."""
 
+    json_kind = model_name = "forest"
     trees: int = 100
     depth: int = 10
-
-    @property
-    def model_name(self) -> str:
-        return "forest"
 
 
 @dataclass(frozen=True)
 class ExternalSpec:
     """Scores come from files; no model is trained."""
 
-    @property
-    def model_name(self) -> str:
-        return "external"
+    json_kind = model_name = "external"
 
 
 @dataclass(frozen=True)
@@ -184,14 +190,14 @@ class ExperimentConfig:
     columns), or an explicit tuple of column indices.
     """
 
-    source: object
-    model: object
-    methods: tuple = METHODS
-    feature_mode: object = "full"
-    folds: int = 5
-    repeats: int = 10
-    bins: int = 10
-    base_seed: int = 0
+    source: SyntheticConfig | CsvSource | ScoreFileSource
+    model: LogregSpec | ForestSpec | ExternalSpec
+    methods: tuple[str, ...] = METHODS
+    feature_mode: str | tuple[int, ...] = "full"
+    folds: int = field(default=5, metadata={"min": 2})
+    repeats: int = field(default=10, metadata={"min": 1})
+    bins: int = field(default=10, metadata={"min": 1})
+    base_seed: int = field(default=0, metadata={"min": 0})
     family_alpha: float = 0.05
 
     def __post_init__(self):
@@ -217,17 +223,13 @@ class ExperimentConfig:
                     f"got {self.feature_mode!r}"
                 )
         else:
-            object.__setattr__(
-                self, "feature_mode", tuple(int(i) for i in self.feature_mode)
-            )
-        if not (type(self.folds) is int and self.folds >= 2):
-            raise ValueError(f"folds must be an integer >= 2, got {self.folds!r}")
-        if not (type(self.repeats) is int and self.repeats >= 1):
-            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        if not (type(self.bins) is int and self.bins >= 1):
-            raise ValueError(f"bins must be an integer >= 1, got {self.bins!r}")
-        if not (type(self.base_seed) is int and self.base_seed >= 0):
-            raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
+            indices = tuple(self.feature_mode)
+            if any(type(i) is not int for i in indices) or len(set(indices)) != len(indices):
+                raise ValueError(
+                    f"feature_mode indices must be distinct integers, got {self.feature_mode!r}"
+                )
+            object.__setattr__(self, "feature_mode", indices)
+        check_counts(self)
         if not (0.0 < self.family_alpha < 1.0):
             raise ValueError(f"family_alpha must be in (0, 1), got {self.family_alpha!r}")
         external_model = isinstance(self.model, ExternalSpec)
@@ -282,10 +284,11 @@ class AggregateRow:
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One paired method comparison on one metric."""
+    """One paired method comparison on one metric; JSON holds it as one
+    object, ``metric`` then the fields of ``result``."""
 
     metric: str
-    result: PairedComparison
+    result: PairedComparison = field(metadata={"json": "inline"})
 
 
 @dataclass(frozen=True)
@@ -293,10 +296,10 @@ class ResultTable:
     """A benchmark's complete output: records, aggregates, comparisons."""
 
     config: ExperimentConfig
-    records: tuple
-    aggregates: tuple
-    comparisons: tuple
-    comparison_metrics: tuple
+    records: tuple[RunRecord, ...]
+    aggregates: tuple[AggregateRow, ...]
+    comparisons: tuple[ComparisonRow, ...]
+    comparison_metrics: tuple[str, ...]
     bonferroni_threshold: float | None
 
 
@@ -759,115 +762,10 @@ def bootstrap_metric_ci(
 # persistence
 # ---------------------------------------------------------------------------
 
-def _float_out(value: float):
-    """A float as JSON holds it: NaN as null, +-inf as "inf"/"-inf"
-    (both of which ``float()`` reads back)."""
-    value = float(value)
-    if math.isnan(value):
-        return None
-    return value if math.isfinite(value) else str(value)
-
-
-def _float_in(value) -> float:
-    return float("nan") if value is None else float(value)
-
-
-# config JSON kind -> spec class, for the "source" and "model" objects
-_SOURCE_KINDS = {"synthetic": SyntheticConfig, "csv": CsvSource, "scores": ScoreFileSource}
-_MODEL_KINDS = {"logreg": LogregSpec, "forest": ForestSpec, "external": ExternalSpec}
-
-
-def _kind_to_json(spec, kinds: dict) -> dict:
-    """``{kind: {field: value}}`` form of a source or model spec."""
-    kind = next(k for k, cls in kinds.items() if isinstance(spec, cls))
-    if isinstance(spec, ScoreFileSource):  # entries are keyed cal, then test
-        return {kind: {"entries": [{"cal": e.cal, "test": e.test} for e in spec.entries]}}
-    return {kind: dataclasses.asdict(spec)}
-
-
 def config_to_json(config: ExperimentConfig) -> dict:
-    feature_mode = (
-        config.feature_mode
-        if isinstance(config.feature_mode, str)
-        else list(config.feature_mode)
-    )
-    return {
-        "source": _kind_to_json(config.source, _SOURCE_KINDS),
-        "model": _kind_to_json(config.model, _MODEL_KINDS),
-        "methods": list(config.methods),
-        "feature_mode": feature_mode,
-        "folds": config.folds,
-        "repeats": config.repeats,
-        "bins": config.bins,
-        "base_seed": config.base_seed,
-        "family_alpha": config.family_alpha,
-    }
-
-
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
-
-# JSON value types a config value may hold -> their name in error messages
-_TYPE_NAMES = {
-    int: "an integer",
-    (int, float): "a number",
-    str: "a string",
-    list: "a list",
-    (str, list): "a string or a list",
-}
-
-
-def _typed(value, kinds, name: str):
-    """``value`` if it has one of the JSON types ``kinds`` (a bool is none
-    of them), else ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ValueError(f"{name} must be {_TYPE_NAMES[kinds]}, got {value!r}")
-    return value
-
-
-def _json_object(value, where: str, keys: tuple) -> dict:
-    """``value`` if it is a JSON object whose keys all lie in ``keys``."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be a JSON object, got {value!r}")
-    unknown = sorted(set(value) - set(keys))
-    if unknown:
-        raise ValueError(
-            f"unknown {where} key {unknown[0]!r}; valid: {', '.join(keys) or 'none'}"
-        )
-    return value
-
-
-def _spec_from_json(cls, body, where: str):
-    """A spec dataclass from the JSON object of its fields: an absent field
-    takes its default, an absent required one raises ``KeyError``."""
-    fields = dataclasses.fields(cls)
-    body = _json_object(body, where, tuple(f.name for f in fields))
-    return cls(**{
-        f.name: _SPEC_FIELD_READERS[f.type](body[f.name], f.name)
-        for f in fields
-        if f.name in body or f.default is dataclasses.MISSING
-    })
-
-
-# spec field annotation -> reader of its JSON value
-_SPEC_FIELD_READERS = {
-    "int": lambda value, name: _typed(value, int, name),
-    "float": lambda value, name: float(_typed(value, (int, float), name)),
-    "str": lambda value, name: _typed(value, str, name),
-    "str | None": lambda value, name: None if value is None else _typed(value, str, name),
-    "tuple": lambda value, name: tuple(  # ScoreFileSource.entries
-        _spec_from_json(ScoreFilePair, entry, "score-file entry")
-        for entry in _typed(value, list, name)
-    ),
-}
-
-
-def _kind_from_json(value, where: str, kinds: dict):
-    """Inverse of :func:`_kind_to_json`."""
-    spec = _json_object(value, where, tuple(kinds))
-    if len(spec) != 1:
-        raise ValueError(f"{where} must name exactly one of: {', '.join(kinds)}")
-    ((kind, body),) = spec.items()
-    return _spec_from_json(kinds[kind], body, f"{where}.{kind}")
+    """JSON-ready dict form of an ExperimentConfig: ``source`` and ``model``
+    as ``{kind: {field: value}}``."""
+    return to_json(config)
 
 
 def config_from_json(payload: dict) -> ExperimentConfig:
@@ -875,100 +773,33 @@ def config_from_json(payload: dict) -> ExperimentConfig:
     key or a value of the wrong JSON type (``2.9`` or ``true`` as a count,
     a string as the method list) raises ``ValueError``; a missing required
     key raises ``KeyError``."""
-    payload = _json_object(payload, "config", _CONFIG_KEYS)
-    feature_mode = _typed(payload.get("feature_mode", "full"), (str, list), "feature_mode")
-    if isinstance(feature_mode, list):
-        feature_mode = tuple(_typed(i, int, "feature index") for i in feature_mode)
-    methods = _typed(payload.get("methods", list(METHODS)), list, "methods")
-    return ExperimentConfig(
-        source=_kind_from_json(payload["source"], "source", _SOURCE_KINDS),
-        model=_kind_from_json(payload["model"], "model", _MODEL_KINDS),
-        methods=tuple(_typed(m, str, "method") for m in methods),
-        feature_mode=feature_mode,
-        folds=payload.get("folds", 5),
-        repeats=payload.get("repeats", 10),
-        bins=payload.get("bins", 10),
-        base_seed=payload.get("base_seed", 0),
-        family_alpha=float(
-            _typed(payload.get("family_alpha", 0.05), (int, float), "family_alpha")
-        ),
-    )
-
-
-def _to_json(row) -> dict:
-    """JSON-ready dict of a result dataclass, keyed in field order.
-
-    ``float`` fields go through :func:`_float_out`; a nested dataclass
-    becomes a nested dict.
-    """
-    body = {}
-    for field in dataclasses.fields(row):
-        value = getattr(row, field.name)
-        if field.type == "float":
-            value = _float_out(value)
-        elif dataclasses.is_dataclass(value):
-            value = _to_json(value)
-        body[field.name] = value
-    return body
-
-
-def _from_json(cls, body: dict):
-    """Inverse of :func:`_to_json`: a ``cls`` from the keys of its fields."""
-    return cls(**{
-        field.name: _ROW_FIELD_READERS[field.type](body[field.name])
-        for field in dataclasses.fields(cls)
-    })
-
-
-# result-row field annotation -> reader of its JSON value
-_ROW_FIELD_READERS = {
-    "float": _float_in,
-    "int": int,
-    "str": str,
-    "bool": bool,
-    "MetricReport": lambda body: _from_json(MetricReport, body),
-}
+    return from_json(ExperimentConfig, payload, "config")
 
 
 def table_to_json(table: ResultTable) -> dict:
     """JSON-ready dict form of a ResultTable (schema version 1)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": config_to_json(table.config),
-        "records": [_to_json(r) for r in table.records],
-        "aggregates": [_to_json(a) for a in table.aggregates],
-        "comparisons": [
-            {"metric": c.metric, **_to_json(c.result)} for c in table.comparisons
-        ],
-        "comparison_metrics": list(table.comparison_metrics),
-        "bonferroni_threshold": table.bonferroni_threshold,
-    }
+    return {"schema_version": SCHEMA_VERSION, **to_json(table)}
 
 
 def table_from_json(payload: dict) -> ResultTable:
-    """Inverse of :func:`table_to_json`, with schema checking."""
+    """Inverse of :func:`table_to_json`, with schema checking.  As strict as
+    :func:`config_from_json`, but every fault, in the embedded config too,
+    raises :class:`SchemaVersionMismatchError`."""
     if not isinstance(payload, dict) or "records" not in payload:
         raise SchemaVersionMismatchError(
             "not a results file: top-level 'records' key is missing"
         )
-    version = payload.get("schema_version")
+    body = dict(payload)
+    version = body.pop("schema_version", None)
     if version != SCHEMA_VERSION:
         raise SchemaVersionMismatchError(
             f"results file has schema_version {version!r}; this library reads "
             f"{SCHEMA_VERSION!r}"
         )
-    threshold = payload.get("bonferroni_threshold")
-    return ResultTable(
-        config=config_from_json(payload["config"]),
-        records=tuple(_from_json(RunRecord, r) for r in payload["records"]),
-        aggregates=tuple(_from_json(AggregateRow, a) for a in payload["aggregates"]),
-        comparisons=tuple(
-            ComparisonRow(metric=str(c["metric"]), result=_from_json(PairedComparison, c))
-            for c in payload["comparisons"]
-        ),
-        comparison_metrics=tuple(payload.get("comparison_metrics", ())),
-        bonferroni_threshold=None if threshold is None else float(threshold),
-    )
+    try:
+        return from_json(ResultTable, body, "results")
+    except (KeyError, ValueError) as exc:
+        raise SchemaVersionMismatchError(exc.args[0]) from None
 
 
 def save_results(table: ResultTable, path: str) -> None:
@@ -983,6 +814,6 @@ def load_results(path: str) -> ResultTable:
     with open(path, "r") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaVersionMismatchError(f"{path}: not valid JSON ({exc})") from None
     return table_from_json(payload)

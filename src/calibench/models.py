@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
 
 from .calibrators import ScoreSet
 from .datasets import Dataset
@@ -43,7 +44,7 @@ from .errors import (
     NotConvergedError,
     SingleClassError,
 )
-from ._util import readonly, sigmoid
+from ._util import from_json, readonly, sigmoid, to_json
 
 __all__ = [
     "LogisticModel",
@@ -66,7 +67,8 @@ _PROB_MARGIN = 1e-15
 class LogisticModel:
     """Fitted logistic regression: predicts sigmoid(weights @ x + bias)."""
 
-    weights: np.ndarray
+    json_kind = "logistic"
+    weights: npt.NDArray[np.float64]
     bias: float
     inverse_reg_strength: float
     iterations_used: int
@@ -95,12 +97,12 @@ class Tree:
     prediction accepts any numbering, such as depth-first trees from JSON.
     """
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    count: np.ndarray
+    feature: npt.NDArray[np.intp]
+    threshold: npt.NDArray[np.float64]
+    left: npt.NDArray[np.intp]
+    right: npt.NDArray[np.intp]
+    value: npt.NDArray[np.float64]
+    count: npt.NDArray[np.intp]
 
     def __post_init__(self):
         object.__setattr__(self, "feature", readonly(np.asarray(self.feature, dtype=np.intp)))
@@ -115,11 +117,12 @@ class Tree:
 class ForestModel:
     """Bagged tree ensemble: predicts the mean of the trees' leaf fractions."""
 
-    trees: tuple
+    json_kind = "forest"
     tree_count: int
     max_depth: int
     seed: int
     feature_count: int
+    trees: tuple[Tree, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +136,11 @@ def fit_logistic(
 
     The penalty is ``||w||^2/(2C)`` on the raw-feature weights with the
     bias unpenalized.  Converged when the gradient max-norm (in the
-    standardized optimization coordinates) is at most ``tol``; raises
-    :class:`NotConvergedError` after ``max_iter`` Newton updates.
+    standardized optimization coordinates) is at most ``tol``, or when an
+    update leaves it exactly unchanged: the iteration has reached a fixed
+    point in floating point, and ``final_gradient_norm`` may then exceed
+    ``tol``.  Raises :class:`NotConvergedError` after ``max_iter`` Newton
+    updates.
     """
     if C <= 0.0:
         raise ValueError(f"C must be > 0, got {C}")
@@ -159,6 +165,7 @@ def fit_logistic(
     w = np.zeros(d)
     b = 0.0
     iterations = 0
+    previous = None
     while True:
         z = x @ w + b
         p = sigmoid(z)
@@ -166,7 +173,7 @@ def fit_logistic(
         grad_w = x.T @ resid + ridge * w
         grad_b = float(resid.sum())
         gnorm = max(float(np.abs(grad_w).max()) if d else 0.0, abs(grad_b))
-        if gnorm <= tol:
+        if gnorm <= tol or gnorm == previous:
             break
         if iterations >= max_iter:
             raise NotConvergedError(
@@ -198,6 +205,7 @@ def fit_logistic(
         else:
             raise NotConvergedError("logistic fit: line search found no descent step")
         w, b = cand_w, cand_b
+        previous = gnorm
         iterations += 1
 
     # fold the standardization into the reported raw-feature coefficients
@@ -459,75 +467,23 @@ def score_dataset(model, data: Dataset) -> ScoreSet:
 
 
 def model_to_json(model) -> dict:
-    """Serialize a fitted model to its JSON-ready dict form."""
-    if isinstance(model, LogisticModel):
-        return {
-            "logistic": {
-                "weights": model.weights.tolist(),
-                "bias": model.bias,
-                "inverse_reg_strength": model.inverse_reg_strength,
-                "iterations_used": model.iterations_used,
-                "final_gradient_norm": model.final_gradient_norm,
-            }
-        }
-    if isinstance(model, ForestModel):
-        return {
-            "forest": {
-                "tree_count": model.tree_count,
-                "max_depth": model.max_depth,
-                "seed": model.seed,
-                "feature_count": model.feature_count,
-                "trees": [
-                    {
-                        "feature": tree.feature.tolist(),
-                        "threshold": tree.threshold.tolist(),
-                        "left": tree.left.tolist(),
-                        "right": tree.right.tolist(),
-                        "value": tree.value.tolist(),
-                        "count": tree.count.tolist(),
-                    }
-                    for tree in model.trees
-                ],
-            }
-        }
-    raise TypeError(f"not a fitted model: {type(model).__name__}")
+    """Serialize a fitted model to its JSON-ready dict form,
+    ``{"logistic": {...}}`` or ``{"forest": {...}}``."""
+    if not isinstance(model, (LogisticModel, ForestModel)):
+        raise TypeError(f"not a fitted model: {type(model).__name__}")
+    return to_json(model)
 
 
 def model_from_json(payload: dict):
-    """Inverse of :func:`model_to_json`."""
-    if not isinstance(payload, dict) or len(payload) != 1:
-        raise ValueError("model JSON must hold exactly one model kind")
-    kind, body = next(iter(payload.items()))
-    if kind == "logistic":
-        return LogisticModel(
-            weights=np.asarray(body["weights"], dtype=np.float64),
-            bias=float(body["bias"]),
-            inverse_reg_strength=float(body["inverse_reg_strength"]),
-            iterations_used=int(body["iterations_used"]),
-            final_gradient_norm=float(body["final_gradient_norm"]),
-        )
-    if kind == "forest":
-        trees = tuple(
-            Tree(
-                feature=t["feature"],
-                threshold=t["threshold"],
-                left=t["left"],
-                right=t["right"],
-                value=t["value"],
-                count=t["count"],
-            )
-            for t in body["trees"]
-        )
-        model = ForestModel(
-            trees=trees,
-            tree_count=int(body["tree_count"]),
-            max_depth=int(body["max_depth"]),
-            seed=int(body["seed"]),
-            feature_count=int(body["feature_count"]),
-        )
+    """Inverse of :func:`model_to_json`, strict like the config reader;
+    every fault raises :class:`MalformedModelError`."""
+    try:
+        model = from_json(LogisticModel | ForestModel, payload, "model")
+    except (KeyError, ValueError) as exc:
+        raise MalformedModelError(exc.args[0]) from None
+    if isinstance(model, ForestModel):
         _check_forest(model)
-        return model
-    raise ValueError(f"unknown model kind {kind!r}")
+    return model
 
 
 def _check_forest(model: ForestModel) -> None:

@@ -267,3 +267,5 @@ def test_map_json_rejects_unknown_payload():
         map_from_json({"spline": {}})
     with pytest.raises(ValueError):
         map_from_json({})
+    with pytest.raises(ValueError, match="platt: missing key 'A'"):
+        map_from_json({"platt": {}})

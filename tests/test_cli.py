@@ -211,6 +211,26 @@ def test_benchmark_completes_at_a_platt_fixed_point(tmp_path, capsys):
     assert f"wrote {out}: 150 records" in capsys.readouterr().out
 
 
+def test_benchmark_completes_at_a_logistic_fixed_point(tmp_path, capsys):
+    # in cell 1/1 the logistic fit's gradient norm sticks at 2.356e-7
+    # (> tol 1e-8) from iteration 5 on; the fit stops there
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "source": {"synthetic": {"n": 300, "d": 4, "seed": 1}},
+                "model": {"logreg": {"C": 1.0}},
+                "feature_mode": "informative",
+                "folds": 3,
+                "repeats": 2,
+            }
+        )
+    )
+    out = tmp_path / "results.json"
+    assert run_cli("benchmark", "--config", str(config_path), "--out", str(out)) == 0
+    assert f"wrote {out}: 18 records" in capsys.readouterr().out
+
+
 def test_benchmark_and_compare_write_infinite_statistics(tmp_path, capsys):
     # cells that repeat the same score files make every paired difference
     # constant, so the t statistics are infinite
@@ -312,6 +332,39 @@ def test_compare_rejects_bad_alpha_before_reading(tmp_path, capsys):
     absent = tmp_path / "absent.json"
     assert run_cli("compare", "--results", str(absent), "--alpha", "1.5") == 1
     assert "--alpha must be in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["records"][0]["metrics"].pop("ece"), "records[0].metrics: missing key 'ece'"),
+        (lambda p: p["config"].pop("source"), "config: missing key 'source'"),
+        (lambda p: p["config"].update(folds=2.5), "config.folds must be an integer >= 2, got 2.5"),
+        (lambda p: p["records"][0].update(repeat="x"), "records[0].repeat must be an integer, got 'x'"),
+        (lambda p: p["records"][0].update(repeat=1.5), "records[0].repeat must be an integer, got 1.5"),
+        (lambda p: p.update(records=[1]), "records[0] must be a JSON object, got 1"),
+        (lambda p: p["aggregates"][0].update(mean="abc"), "aggregates[0].mean must be a number"),
+        (lambda p: p["records"][0]["metrics"].update(ece=[1]), "records[0].metrics.ece must be a number"),
+        (lambda p: p["comparisons"][0].update(extra=1), "unknown comparisons[0] key 'extra'"),
+        (
+            lambda p: p["records"][0]["metrics"].update(ece=10**400),
+            "records[0].metrics.ece holds a number out of range",
+        ),
+    ],
+    ids=[
+        "missing-metric", "missing-source", "fractional-folds", "string-repeat",
+        "fractional-repeat", "record-not-object", "string-mean", "list-metric", "unknown-key",
+        "huge-metric",
+    ],
+)
+def test_compare_rejects_a_malformed_results_file(results_file, capsys, edit, message):
+    payload = json.loads(results_file.read_text())
+    edit(payload)
+    results_file.write_text(json.dumps(payload))
+    assert run_cli("compare", "--results", str(results_file)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_compare_rejects_foreign_results_file(tmp_path, capsys):

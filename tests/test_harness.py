@@ -121,6 +121,10 @@ def test_config_feature_mode():
     assert tupled.feature_mode == (0, 2)
     with pytest.raises(ValueError, match="feature_mode"):
         ExperimentConfig(source=src, model=LogregSpec(), feature_mode="sparse")
+    # a fractional or bool index is not truncated, a repeated one not kept
+    for bad in [(0, 1.7, True), (0, 1.7), (0, True), (1, 0, 1)]:
+        with pytest.raises(ValueError, match="feature_mode indices must be distinct integers"):
+            ExperimentConfig(source=src, model=LogregSpec(), feature_mode=bad)
 
 
 def test_config_external_pairing_rules(tmp_path):
@@ -687,6 +691,9 @@ def test_load_results_rejects_foreign_files(tmp_path):
 
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
+    with pytest.raises(SchemaVersionMismatchError, match="not valid JSON"):
+        load_results(str(garbled))
+    garbled.write_bytes(b"\xff\xfe{")  # not UTF-8
     with pytest.raises(SchemaVersionMismatchError, match="not valid JSON"):
         load_results(str(garbled))
 

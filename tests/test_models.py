@@ -365,6 +365,16 @@ def test_score_dataset_pairs_probabilities_with_labels():
         assert scores.scores.min() >= 0.0 and scores.scores.max() <= 1.0
 
 
+def test_fit_logistic_stops_at_a_floating_point_fixed_point():
+    # from its 6th update on, a Newton step leaves the gradient norm at
+    # exactly 1.038e-07 (> tol 1e-8); the fit stops there instead of
+    # running to max_iter
+    data = select_features(generate_synthetic(SyntheticConfig(n=500, d=4, seed=9)), [0, 1])
+    model = fit_logistic(data)
+    assert model.iterations_used == 6
+    assert 1e-8 < model.final_gradient_norm < 1e-6
+
+
 def test_model_json_round_trips():
     data = generate_synthetic(SyntheticConfig(200, 3, 4))
     probe = np.random.default_rng(2).random((25, 3))
@@ -437,12 +447,39 @@ def _set(field, index, value):
     (_set("feature", 0, 2), r"\[0, 2\)"),
     (_set("feature", 2, -2), r"\[0, 2\)"),
     (_set("value", 1, float("nan")), r"\[0, 1\]"),
+    (_set("left", 0, 1.7), r"forest\.trees\[0\]\.left\[0\] must be an integer, got 1\.7"),
+    (_set("count", 0, 10**30), r"forest\.trees\[0\]\.count holds a number out of range"),
 ])
 def test_model_from_json_rejects_a_malformed_tree(edit, message):
     payload = _stump()
     edit(payload["forest"]["trees"][0])
     with _within(5), pytest.raises(errors.MalformedModelError, match=message):
         predict_forest(model_from_json(payload), [[0.2, 0.0], [0.8, 0.0]])
+
+
+def _logistic():
+    return {"logistic": {
+        "weights": [0.5, -1.0], "bias": 0.25, "inverse_reg_strength": 1.0,
+        "iterations_used": 3, "final_gradient_norm": 1e-9,
+    }}
+
+
+@pytest.mark.parametrize("payload, edit, message", [
+    (_stump, lambda p: p["forest"].clear(), "forest: missing key 'tree_count'"),
+    (_logistic, lambda p: p["logistic"].pop("bias"), "logistic: missing key 'bias'"),
+    (
+        _logistic,
+        lambda p: p["logistic"].update(iterations_used=2.7),
+        r"logistic\.iterations_used must be an integer, got 2\.7",
+    ),
+    (_logistic, lambda p: p["logistic"].update(C=1.0), "unknown logistic key 'C'"),
+    (_stump, lambda p: p["forest"].update(seed=True), "forest.seed must be an integer"),
+], ids=["empty-forest", "missing-key", "fractional-count", "unknown-key", "bool-count"])
+def test_model_from_json_rejects_a_malformed_body(payload, edit, message):
+    body = payload()
+    edit(body)
+    with pytest.raises(errors.MalformedModelError, match=message):
+        model_from_json(body)
 
 
 @pytest.mark.parametrize("tree_count, trees", [(2, 1), (0, 0)])
