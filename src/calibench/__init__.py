@@ -9,240 +9,25 @@ correction.  All numerics are NumPy-only; every random draw flows through
 seeded PCG64 generators, so results are reproducible bit for bit.
 """
 
-from .calibrators import (
-    METHODS,
-    IdentityMap,
-    IsotonicMap,
-    PlattMap,
-    ScoreSet,
-    apply_map,
-    fit_calibrated_pipeline,
-    fit_isotonic,
-    fit_platt,
-    map_from_json,
-    map_to_json,
-)
-from .datasets import (
-    Dataset,
-    FoldAssignment,
-    FoldPlan,
-    Provenance,
-    SyntheticConfig,
-    generate_synthetic,
-    load_csv,
-    load_score_csv,
-    make_fold_plan,
-    save_csv,
-    save_score_csv,
-    select_features,
-    stratified_split,
-    subset,
-)
-from .errors import (
-    CalibenchError,
-    CalibrationWarning,
-    DegenerateClassError,
-    DegenerateGroupingError,
-    DegenerateLabelsError,
-    DegenerateVarianceError,
-    DimensionMismatchError,
-    EmptyFileError,
-    IncompleteRecordsError,
-    IndexOutOfRangeError,
-    InvalidDFError,
-    InvalidSpecError,
-    LengthMismatchError,
-    MalformedModelError,
-    MissingColumnError,
-    NonBinaryLabelError,
-    NonNumericFeatureError,
-    NotConvergedError,
-    ProbabilityOutOfRangeError,
-    SampleSizeOutOfRangeError,
-    SchemaVersionMismatchError,
-    SingleClassError,
-    TooFewGroupsError,
-    TooFewSamplesError,
-    TooFewSamplesPerClassError,
-)
-from .harness import (
-    AGGREGATE_METRICS,
-    AggregateRow,
-    ComparisonRow,
-    ConvergenceStudy,
-    CsvSource,
-    ExperimentConfig,
-    ExternalSpec,
-    ForestSpec,
-    LogregSpec,
-    PipelineArtifact,
-    ResultTable,
-    RunRecord,
-    ScoreFilePair,
-    ScoreFileSource,
-    aggregate_records,
-    bootstrap_metric_ci,
-    compare_methods,
-    config_from_json,
-    config_to_json,
-    load_results,
-    run_convergence_study,
-    run_enhanced_calibration,
-    run_repeated_cv,
-    save_results,
-)
-from .metrics import (
-    BinStats,
-    MetricReport,
-    auc,
-    brier,
-    ece,
-    hosmer_lemeshow,
-    log_loss,
-    mce,
-    metric_report,
-    reliability_bins,
-)
-from .models import (
-    ForestModel,
-    LogisticModel,
-    Tree,
-    fit_forest,
-    fit_logistic,
-    model_from_json,
-    model_to_json,
-    predict_forest,
-    predict_logistic,
-    score_dataset,
-)
-from .stats import (
-    IntervalEstimate,
-    NormalityReport,
-    PairedComparison,
-    bonferroni,
-    chi2_cdf,
-    cohens_d_paired,
-    mean_ci,
-    normal_cdf,
-    paired_t_test,
-    shapiro_wilk,
-    t_cdf,
-)
+from .calibrators import *
+from .datasets import *
+from .models import *
+from .metrics import *
+from .stats import *
+from .harness import *
+from .errors import *
+from . import calibrators, datasets, errors, harness, metrics, models, stats
 
 __version__ = "0.1.0"
 
+# every public name of each module, declared once in that module's __all__
 __all__ = [
     "__version__",
-    # calibrators
-    "METHODS",
-    "ScoreSet",
-    "PlattMap",
-    "IsotonicMap",
-    "IdentityMap",
-    "fit_platt",
-    "fit_isotonic",
-    "fit_calibrated_pipeline",
-    "apply_map",
-    "map_to_json",
-    "map_from_json",
-    # datasets
-    "Provenance",
-    "Dataset",
-    "SyntheticConfig",
-    "FoldAssignment",
-    "FoldPlan",
-    "generate_synthetic",
-    "load_csv",
-    "save_csv",
-    "load_score_csv",
-    "save_score_csv",
-    "select_features",
-    "subset",
-    "stratified_split",
-    "make_fold_plan",
-    # models
-    "LogisticModel",
-    "ForestModel",
-    "Tree",
-    "fit_logistic",
-    "predict_logistic",
-    "fit_forest",
-    "predict_forest",
-    "score_dataset",
-    "model_to_json",
-    "model_from_json",
-    # metrics
-    "BinStats",
-    "MetricReport",
-    "ece",
-    "mce",
-    "brier",
-    "log_loss",
-    "auc",
-    "reliability_bins",
-    "hosmer_lemeshow",
-    "metric_report",
-    # stats
-    "PairedComparison",
-    "IntervalEstimate",
-    "NormalityReport",
-    "normal_cdf",
-    "t_cdf",
-    "chi2_cdf",
-    "paired_t_test",
-    "cohens_d_paired",
-    "bonferroni",
-    "mean_ci",
-    "shapiro_wilk",
-    # harness
-    "AGGREGATE_METRICS",
-    "CsvSource",
-    "ScoreFilePair",
-    "ScoreFileSource",
-    "LogregSpec",
-    "ForestSpec",
-    "ExternalSpec",
-    "ExperimentConfig",
-    "RunRecord",
-    "AggregateRow",
-    "ComparisonRow",
-    "ResultTable",
-    "PipelineArtifact",
-    "ConvergenceStudy",
-    "run_enhanced_calibration",
-    "run_repeated_cv",
-    "compare_methods",
-    "aggregate_records",
-    "run_convergence_study",
-    "bootstrap_metric_ci",
-    "save_results",
-    "load_results",
-    "config_to_json",
-    "config_from_json",
-    # errors
-    "CalibenchError",
-    "CalibrationWarning",
-    "MissingColumnError",
-    "NonBinaryLabelError",
-    "NonNumericFeatureError",
-    "EmptyFileError",
-    "IndexOutOfRangeError",
-    "DegenerateClassError",
-    "TooFewSamplesPerClassError",
-    "DimensionMismatchError",
-    "NotConvergedError",
-    "MalformedModelError",
-    "DegenerateLabelsError",
-    "LengthMismatchError",
-    "ProbabilityOutOfRangeError",
-    "SingleClassError",
-    "TooFewGroupsError",
-    "DegenerateGroupingError",
-    "InvalidDFError",
-    "DegenerateVarianceError",
-    "TooFewSamplesError",
-    "SampleSizeOutOfRangeError",
-    "IncompleteRecordsError",
-    "InvalidSpecError",
-    "SchemaVersionMismatchError",
+    *calibrators.__all__,
+    *datasets.__all__,
+    *models.__all__,
+    *metrics.__all__,
+    *stats.__all__,
+    *harness.__all__,
+    *errors.__all__,
 ]

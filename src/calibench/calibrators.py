@@ -46,7 +46,16 @@ __all__ = [
     "map_from_json",
 ]
 
-METHODS = ("uncalibrated", "platt", "isotonic")
+# method name -> its fit, the one place a name becomes a fit.  Platt fits
+# the smoothed targets, the variant that reproduces the published reference
+# measurements.  Each entry looks its fitter up by name when called, so a
+# wrapper set on the module attribute (a profiler's, say) sees every fit.
+_FITS = {
+    "uncalibrated": lambda data: IdentityMap(),
+    "platt": lambda data: fit_platt(data, smooth_targets=True),
+    "isotonic": lambda data: fit_isotonic(data),
+}
+METHODS = tuple(_FITS)
 
 
 @dataclass(frozen=True)
@@ -75,15 +84,19 @@ class ScoreSet:
 
 @dataclass(frozen=True)
 class PlattMap:
-    """Fitted sigmoid calibration map s -> sigma(A*s + B).  The fit's
-    diagnostics describe how it was found, not the map, and JSON leaves
-    them out."""
+    """Fitted sigmoid calibration map s -> sigma(A*s + B), A and B finite.
+    The fit's diagnostics describe how it was found, not the map, and JSON
+    leaves them out."""
 
     json_kind = "platt"
     A: float
     B: float
     iterations_used: int = field(default=0, metadata={"json": "omit"})
     final_gradient_norm: float = field(default=float("nan"), metadata={"json": "omit"})
+
+    def __post_init__(self):
+        if not (np.isfinite(self.A) and np.isfinite(self.B)):
+            raise ValueError(f"a Platt map needs finite A and B, got A={self.A!r}, B={self.B!r}")
 
 
 @dataclass(frozen=True)
@@ -322,20 +335,20 @@ def fit_isotonic(data: ScoreSet) -> IsotonicMap:
 # dispatch and application
 # ---------------------------------------------------------------------------
 
-def fit_calibrated_pipeline(base_scores: ScoreSet, method: str):
-    """Fit the named calibration method with its documented defaults.
+def fit_calibrated_pipeline(base_scores: ScoreSet | None, method: str):
+    """Fit the named calibration method on ``base_scores``.
 
-    ``method`` is one of ``"uncalibrated"`` (identity map), ``"platt"``,
-    or ``"isotonic"``.
+    ``method`` is one of :data:`METHODS`: ``"uncalibrated"`` (the identity
+    map; ``base_scores`` may then be None), ``"platt"`` (:func:`fit_platt`
+    on the smoothed targets, ``smooth_targets=True``) or ``"isotonic"``
+    (:func:`fit_isotonic`).  A method name means this one fit everywhere
+    in the library, so refitting a pipeline artifact's ``method_name``
+    reproduces its map.
     """
-    name = str(method).lower()
-    if name == "uncalibrated":
-        return IdentityMap()
-    if name == "platt":
-        return fit_platt(base_scores)
-    if name == "isotonic":
-        return fit_isotonic(base_scores)
-    raise ValueError(f"unknown calibration method {method!r}; valid: {', '.join(METHODS)}")
+    fit = _FITS.get(str(method).lower())
+    if fit is None:
+        raise ValueError(f"unknown calibration method {method!r}; valid: {', '.join(METHODS)}")
+    return fit(base_scores)
 
 
 def apply_map(calibration_map, score):

@@ -38,7 +38,7 @@ from .errors import (
     NonNumericFeatureError,
     TooFewSamplesPerClassError,
 )
-from ._util import as_binary_labels, check_counts, readonly
+from ._util import as_binary_labels, check_counts, check_int, readonly
 
 __all__ = [
     "Provenance",
@@ -447,10 +447,8 @@ class FoldPlan:
 
 def make_fold_plan(data: Dataset, folds: int, repeats: int, base_seed: int) -> FoldPlan:
     """Build a stratified repeated-CV plan by per-class round-robin dealing."""
-    if not (type(folds) is int and folds >= 2):
-        raise ValueError(f"folds must be an integer >= 2, got {folds!r}")
-    if not (type(repeats) is int and repeats >= 1):
-        raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
+    check_int(folds, "folds", 2)
+    check_int(repeats, "repeats", 1)
     neg, pos = _class_indices(data.labels)
     if neg.size < folds or pos.size < folds:
         raise TooFewSamplesPerClassError(

@@ -6,6 +6,35 @@ without parsing messages.  Plain file-system failures are *not* wrapped: they
 surface as the builtin ``OSError``.
 """
 
+__all__ = [
+    "CalibenchError",
+    "MissingColumnError",
+    "NonBinaryLabelError",
+    "NonNumericFeatureError",
+    "EmptyFileError",
+    "IndexOutOfRangeError",
+    "DegenerateClassError",
+    "TooFewSamplesPerClassError",
+    "DimensionMismatchError",
+    "NotConvergedError",
+    "MalformedModelError",
+    "DegenerateLabelsError",
+    "LengthMismatchError",
+    "ProbabilityOutOfRangeError",
+    "SingleClassError",
+    "TooFewGroupsError",
+    "DegenerateGroupingError",
+    "InvalidDFError",
+    "DegenerateVarianceError",
+    "TooFewSamplesError",
+    "SampleSizeOutOfRangeError",
+    "EmptyFamilyError",
+    "IncompleteRecordsError",
+    "InvalidSpecError",
+    "SchemaVersionMismatchError",
+    "CalibrationWarning",
+]
+
 
 class CalibenchError(Exception):
     """Base class for all calibench-specific errors."""

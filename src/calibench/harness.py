@@ -29,13 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrators import (
-    METHODS,
-    ScoreSet,
-    apply_map,
-    fit_calibrated_pipeline,
-    fit_platt,
-)
+from .calibrators import METHODS, ScoreSet, apply_map, fit_calibrated_pipeline
 from .datasets import (
     Dataset,
     SyntheticConfig,
@@ -57,7 +51,14 @@ from .errors import (
 )
 from .metrics import MetricReport, ece, metric_report
 from .models import fit_forest, fit_logistic, score_dataset
-from .stats import IntervalEstimate, PairedComparison, mean_ci, paired_t_test, shapiro_wilk
+from .stats import (
+    IntervalEstimate,
+    PairedComparison,
+    bonferroni,
+    mean_ci,
+    paired_t_test,
+    shapiro_wilk,
+)
 from ._util import check_counts, from_json, mix_seed, to_json, write_json
 
 __all__ = [
@@ -171,8 +172,11 @@ class ForestSpec:
     """Use the in-repo bagged tree forest as the base model."""
 
     json_kind = model_name = "forest"
-    trees: int = 100
-    depth: int = 10
+    trees: int = field(default=100, metadata={"min": 1})
+    depth: int = field(default=10, metadata={"min": 1})
+
+    def __post_init__(self):
+        check_counts(self)
 
 
 @dataclass(frozen=True)
@@ -349,28 +353,12 @@ def _fit_base_model(model_spec, data: Dataset, seed: int):
     raise ValueError(f"cannot train a base model from {type(model_spec).__name__}")
 
 
-def _fit_method_map(cal_scores: ScoreSet | None, method: str):
-    """Fit one benchmark method's calibration map on a calibration split.
-
-    The benchmark and the selection pipeline fit ``"platt"`` with the
-    classical smoothed pseudo-targets ((n_pos+1)/(n_pos+2), 1/(n_neg+2))
-    — the variant mainstream calibration implementations use, and the one
-    that reproduces the published reference measurements this suite is
-    benchmarked against.  The plain maximum-likelihood fit on raw 0/1
-    labels remains the ``fit_platt`` default for direct library use.
-    ``"uncalibrated"`` fits nothing, so ``cal_scores`` may then be None.
-    """
-    if method == "platt":
-        return fit_platt(cal_scores, smooth_targets=True)
-    return fit_calibrated_pipeline(cal_scores, method)
-
-
 def _cv_mean_ece(cal_scores: ScoreSet, method: str, fold_of: np.ndarray, folds: int, bins: int) -> float:
     per_fold = []
     for fold in range(folds):
         held_out = fold_of == fold
         fit_part = ScoreSet(cal_scores.scores[~held_out], cal_scores.labels[~held_out])
-        cal_map = _fit_method_map(fit_part, method)
+        cal_map = fit_calibrated_pipeline(fit_part, method)
         probs = apply_map(cal_map, cal_scores.scores[held_out])
         per_fold.append(ece(probs, cal_scores.labels[held_out], bins=bins))
     return float(np.mean(per_fold))
@@ -418,7 +406,7 @@ def run_enhanced_calibration(data: Dataset, model_spec, seed: int) -> PipelineAr
                 f"cv: mean ece platt={ece_platt:.4g} isotonic={ece_iso:.4g} -> {chosen}"
             )
 
-    cal_map = _fit_method_map(cal_scores, chosen)
+    cal_map = fit_calibrated_pipeline(cal_scores, chosen)
     probs = apply_map(cal_map, test_scores.scores)
     report = metric_report(probs, test_scores.labels, bins=10)
     return PipelineArtifact(
@@ -546,11 +534,7 @@ def _comparisons_for(records, methods, metrics, family_alpha: float):
         for i in range(len(methods))
         for j in range(i + 1, len(methods))
     ]
-    total = len(pairs) * len(metrics)
-    if total == 0:
-        return None, ()
-    threshold = family_alpha / total
-    rows = []
+    results = []  # (metric, PairedComparison) in emission order
     for metric in metrics:
         per_method = {m: _paired_values(records, m, metric) for m in methods}
         keys = sorted(per_method[methods[0]])
@@ -568,12 +552,12 @@ def _comparisons_for(records, methods, metrics, family_alpha: float):
         for name_a, name_b in pairs:
             a = np.array([per_method[name_a][k] for k in keys])
             b = np.array([per_method[name_b][k] for k in keys])
-            result = paired_t_test(a, b, name_a=name_a, name_b=name_b)
-            result = dataclasses.replace(
-                result, significant_at_corrected_alpha=bool(result.p_value < threshold)
-            )
-            rows.append(ComparisonRow(metric=metric, result=result))
-    return threshold, tuple(rows)
+            results.append((metric, paired_t_test(a, b, name_a=name_a, name_b=name_b)))
+    threshold, decisions = bonferroni([r.p_value for _, r in results], family_alpha)
+    return threshold, tuple(
+        ComparisonRow(metric, dataclasses.replace(r, significant_at_corrected_alpha=bool(d)))
+        for (metric, r), d in zip(results, decisions)
+    )
 
 
 def run_repeated_cv(config: ExperimentConfig) -> ResultTable:
@@ -587,7 +571,7 @@ def run_repeated_cv(config: ExperimentConfig) -> ResultTable:
     records = []
     for repeat, fold, cal_scores, test_scores in _cells(config):
         for method in config.methods:
-            cal_map = _fit_method_map(cal_scores, method)
+            cal_map = fit_calibrated_pipeline(cal_scores, method)
             probs = apply_map(cal_map, test_scores.scores)
             report = metric_report(probs, test_scores.labels, bins=config.bins)
             records.append(

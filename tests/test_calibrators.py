@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from calibench import (
+    METHODS,
     IdentityMap,
     IsotonicMap,
     PlattMap,
@@ -226,7 +227,11 @@ def test_apply_map_sends_nan_to_nan_for_every_map_kind():
 
 def test_pipeline_dispatch():
     data = ScoreSet([0.1, 0.4, 0.6, 0.9], [0, 0, 1, 1])
-    assert isinstance(fit_calibrated_pipeline(data, "platt"), PlattMap)
+    assert METHODS == ("uncalibrated", "platt", "isotonic")
+    # "platt" names the smoothed-target fit the benchmark and pipeline use
+    platt = fit_calibrated_pipeline(data, "platt")
+    assert platt == fit_platt(data, smooth_targets=True)
+    assert platt != fit_platt(data)
     assert isinstance(fit_calibrated_pipeline(data, "isotonic"), IsotonicMap)
     assert isinstance(fit_calibrated_pipeline(data, "uncalibrated"), IdentityMap)
     with pytest.raises(ValueError):
@@ -269,3 +274,8 @@ def test_map_json_rejects_unknown_payload():
         map_from_json({})
     with pytest.raises(ValueError, match="platt: missing key 'A'"):
         map_from_json({"platt": {}})
+    # a non-finite parameter would send scores to NaN or to exactly 0 or 1
+    for bad in ("inf", "-inf", None):
+        for body in ({"A": bad, "B": 0.0}, {"A": 1.0, "B": bad}):
+            with pytest.raises(ValueError, match="a Platt map needs finite A and B"):
+                map_from_json({"platt": body})

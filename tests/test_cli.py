@@ -173,8 +173,19 @@ SMALL_CONFIG = {
         ({**SMALL_CONFIG, "repeats": True}, "repeats must be an integer >= 1, got True"),
         ([SMALL_CONFIG], "config must be a JSON object"),
         ({**SMALL_CONFIG, "methods": "platt"}, "methods must be a list, got 'platt'"),
+        (
+            {**SMALL_CONFIG, "model": {"forest": {"trees": 0}}},
+            "config.json: model.forest.trees must be an integer >= 1, got 0",
+        ),
+        (
+            {**SMALL_CONFIG, "model": {"forest": {"depth": -1}}},
+            "config.json: model.forest.depth must be an integer >= 1, got -1",
+        ),
     ],
-    ids=["unknown-key", "unknown-model-key", "float-count", "bool-count", "array", "string-methods"],
+    ids=[
+        "unknown-key", "unknown-model-key", "float-count", "bool-count", "array",
+        "string-methods", "zero-trees", "negative-depth",
+    ],
 )
 def test_benchmark_rejects_malformed_config_values(tmp_path, capsys, payload, message):
     config_path = tmp_path / "config.json"
@@ -340,6 +351,10 @@ def test_compare_rejects_bad_alpha_before_reading(tmp_path, capsys):
         (lambda p: p["records"][0]["metrics"].pop("ece"), "records[0].metrics: missing key 'ece'"),
         (lambda p: p["config"].pop("source"), "config: missing key 'source'"),
         (lambda p: p["config"].update(folds=2.5), "config.folds must be an integer >= 2, got 2.5"),
+        (
+            lambda p: p["config"].update(model={"forest": {"trees": 0}}),
+            "config.model.forest.trees must be an integer >= 1, got 0",
+        ),
         (lambda p: p["records"][0].update(repeat="x"), "records[0].repeat must be an integer, got 'x'"),
         (lambda p: p["records"][0].update(repeat=1.5), "records[0].repeat must be an integer, got 1.5"),
         (lambda p: p.update(records=[1]), "records[0] must be a JSON object, got 1"),
@@ -352,7 +367,7 @@ def test_compare_rejects_bad_alpha_before_reading(tmp_path, capsys):
         ),
     ],
     ids=[
-        "missing-metric", "missing-source", "fractional-folds", "string-repeat",
+        "missing-metric", "missing-source", "fractional-folds", "zero-trees", "string-repeat",
         "fractional-repeat", "record-not-object", "string-mean", "list-metric", "unknown-key",
         "huge-metric",
     ],
@@ -531,6 +546,23 @@ def test_pipeline_rejects_unknown_model(tmp_path, capsys):
         "pipeline", "--data", str(data_path), "--model", "svm", "--map-out", str(map_path)
     ) == 1
     assert "unknown model 'svm'; valid: logreg, forest" in capsys.readouterr().err
+    assert not map_path.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--model", "forest", "--trees", "0"], "trees must be an integer >= 1, got 0"),
+        (["--model", "forest", "--depth", "-1"], "depth must be an integer >= 1, got -1"),
+        (["--C", "0"], "C must be a finite number > 0, got 0.0"),
+    ],
+    ids=["zero-trees", "negative-depth", "zero-C"],
+)
+def test_pipeline_rejects_bad_model_flags_before_reading_data(tmp_path, capsys, flags, message):
+    map_path = tmp_path / "never.json"
+    argv = ["pipeline", "--data", str(tmp_path / "missing.csv"), "--map-out", str(map_path)]
+    assert run_cli(*argv, *flags) == 1
+    assert message in capsys.readouterr().err
     assert not map_path.exists()
 
 

@@ -112,6 +112,10 @@ def test_config_rejects_bad_numbers():
         ExperimentConfig(source=src, model=LogregSpec(), base_seed=-1)
     with pytest.raises(ValueError, match="family_alpha"):
         ExperimentConfig(source=src, model=LogregSpec(), family_alpha=1.0)
+    with pytest.raises(ValueError, match="trees must be an integer >= 1, got 0"):
+        ForestSpec(trees=0)
+    with pytest.raises(ValueError, match="depth must be an integer >= 1, got -1"):
+        ForestSpec(depth=-1)
 
 
 def test_config_feature_mode():

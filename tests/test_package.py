@@ -1,0 +1,30 @@
+"""The package's public names: each is declared once, in its module's
+``__all__``, and ``calibench`` re-exports every one of them."""
+
+import calibench
+from calibench import calibrators, datasets, errors, harness, metrics, models, stats
+
+MODULES = (calibrators, datasets, models, metrics, stats, harness, errors)
+
+
+def test_package_exports_every_module_name_once():
+    expected = ["__version__"] + [name for m in MODULES for name in m.__all__]
+    assert calibench.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(calibench, name) is getattr(module, name)
+    assert calibench.__version__
+
+
+def test_names_missing_from_the_hand_written_list_import():
+    from calibench import (
+        DEFAULT_COMPARISON_METRICS,
+        SCHEMA_VERSION,
+        EmptyFamilyError,
+        deal_folds,
+        table_from_json,
+        table_to_json,
+    )
+
+    assert EmptyFamilyError is errors.EmptyFamilyError
