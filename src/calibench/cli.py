@@ -38,6 +38,7 @@ from .harness import (
     save_results,
 )
 from .metrics import reliability_bins
+from .stats import bonferroni
 from ._util import to_json, write_json
 
 __all__ = ["main"]
@@ -100,7 +101,7 @@ def _cmd_compare(args) -> int:
         rows = compare_methods(table, args.metric, family_alpha=args.alpha)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    threshold = args.alpha / len(rows)
+    threshold, _ = bonferroni([row.p_value for row in rows], args.alpha)
     print(f"metric: {args.metric}  pairs: {len(rows)}  "
           f"bonferroni threshold: {threshold:.6g}")
     for row in rows:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,7 @@ from .stats import (
     paired_t_test,
     shapiro_wilk,
 )
-from ._util import check_counts, from_json, mix_seed, to_json, write_json
+from ._util import check_counts, check_int, from_json, mix_seed, to_json, write_json
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -686,6 +687,12 @@ def run_convergence_study(g_star, sizes, trials: int, seed: int) -> ConvergenceS
 # single-split bootstrap CI
 # ---------------------------------------------------------------------------
 
+_BOOTSTRAP_METRICS = ("auc", "brier", "ece", "log_loss", "mce", "reliability")
+
+# resample indices drawn per block: bounds each block's arrays at ~200 kB
+_BLOCK_INDICES = 25_000
+
+
 def bootstrap_metric_ci(
     probs,
     labels,
@@ -699,38 +706,25 @@ def bootstrap_metric_ci(
 
     Resamples (prob, label) pairs with replacement ``draws`` times; draws
     where the metric is undefined (a single-class resample for AUC, the
-    only such case) are skipped.  The interval is widened, if needed, to contain the full-data
-    point estimate.
-    """
-    from . import metrics as _metrics
+    only such case) are skipped.  The interval is widened, if needed, to
+    contain the full-data point estimate.
 
-    evaluators = {
-        "ece": lambda p, y: _metrics.ece(p, y, bins=bins),
-        "mce": lambda p, y: _metrics.mce(p, y, bins=bins),
-        "brier": _metrics.brier,
-        "log_loss": _metrics.log_loss,
-        "auc": _metrics.auc,
-        "reliability": lambda p, y: 1.0 - _metrics.ece(p, y, bins=bins),
-    }
-    if metric not in evaluators:
+    Draw ``i`` resamples with the ``i``-th of successive
+    ``rng.integers(0, n, size=n)`` calls; they are drawn as rows of
+    ``(rows, n)`` blocks, which is the same stream.  ECE, MCE and
+    reliability score a whole block at once, bit for bit as the public
+    functions score each resample; the other metrics call them per draw.
+    """
+    if metric not in _BOOTSTRAP_METRICS:
         raise ValueError(
-            f"unknown metric {metric!r}; valid: {', '.join(sorted(evaluators))}"
+            f"unknown metric {metric!r}; valid: {', '.join(_BOOTSTRAP_METRICS)}"
         )
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
-    evaluate = evaluators[metric]
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels)
-    point = float(evaluate(p, y))
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(draws):
-        idx = rng.integers(0, p.size, size=p.size)
-        try:
-            samples.append(float(evaluate(p[idx], y[idx])))
-        except SingleClassError:
-            continue
-    if not samples:
+    draws = check_int(draws, "draws", minimum=1)
+    bins = check_int(bins, "bins", minimum=1)
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise ValueError(f"level must be a number in (0, 1), got {level!r}")
+    point, samples = _bootstrap_samples(probs, labels, metric, bins, draws, seed)
+    if samples.size == 0:
         raise ValueError(f"metric {metric!r} was undefined on every bootstrap draw")
     tail = 0.5 * (1.0 - level)
     lower, upper = np.quantile(samples, [tail, 1.0 - tail])
@@ -740,6 +734,46 @@ def bootstrap_metric_ci(
         upper=max(float(upper), point),
         level=level,
     )
+
+
+def _bootstrap_samples(probs, labels, metric: str, bins: int, draws: int, seed: int):
+    """``(point estimate, array of the defined draws' values)`` for
+    :func:`bootstrap_metric_ci`, whose arguments are already checked."""
+    from . import metrics as _metrics
+
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(labels)
+    if metric in ("ece", "mce", "reliability"):
+        point = (_metrics.mce if metric == "mce" else _metrics.ece)(p, y, bins=bins)
+        p_valid, y_valid = _metrics._validate_pairs(p, y)
+        _, bin_of = _metrics._bin_of(p_valid, bins)
+        y_valid = y_valid.astype(np.float64)
+
+        def score_block(rows):
+            ece, mce = _metrics._resampled_ece_mce(p_valid, y_valid, bin_of, bins, rows)
+            return mce if metric == "mce" else ece
+    else:
+        point = float(getattr(_metrics, metric)(p, y))
+
+        def score_block(rows):
+            values = []
+            for idx in rows:
+                try:
+                    values.append(float(getattr(_metrics, metric)(p[idx], y[idx])))
+                except SingleClassError:
+                    continue
+            return values
+
+    rng = np.random.default_rng(seed)
+    per_block = max(1, _BLOCK_INDICES // p.size)
+    parts = []
+    for start in range(0, draws, per_block):
+        rows = rng.integers(0, p.size, size=(min(per_block, draws - start), p.size))
+        parts.append(score_block(rows))
+    samples = np.concatenate(parts)
+    if metric == "reliability":
+        return 1.0 - point, 1.0 - samples
+    return point, samples
 
 
 # ---------------------------------------------------------------------------

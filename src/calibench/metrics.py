@@ -115,14 +115,20 @@ def reliability_bins(probs, labels, bins: int = 10) -> BinStats:
     return _reliability_bins(p, y, bins)
 
 
-def _reliability_bins(p, y, bins: int) -> BinStats:
+def _bin_of(p, bins: int):
+    """``(edges, bin index of each probability)``: the one definition of bin
+    membership behind every binned metric."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     # edge i is i/bins correctly rounded, so bin membership is reproducible
     # from the definition alone (linspace edges can differ in the last ulp)
     edges = np.arange(bins + 1, dtype=np.float64) / bins
     idx = np.searchsorted(edges, p, side="right") - 1
-    idx = np.minimum(idx, bins - 1)  # p == 1.0 belongs to the last bin
+    return edges, np.minimum(idx, bins - 1)  # p == 1.0 belongs to the last bin
+
+
+def _reliability_bins(p, y, bins: int) -> BinStats:
+    edges, idx = _bin_of(p, bins)
     counts = np.bincount(idx, minlength=bins)
     conf = np.full(bins, np.nan)
     acc = np.full(bins, np.nan)
@@ -140,6 +146,40 @@ def ece(probs, labels, bins: int = 10) -> float:
 def mce(probs, labels, bins: int = 10) -> float:
     """Maximum calibration error: max over non-empty bins of |acc - conf|."""
     return reliability_bins(probs, labels, bins).mce()
+
+
+def _resampled_ece_mce(p, y, bin_of, bins: int, rows):
+    """ECE and MCE of each resample ``(p[r], y[r])`` for the rows ``r`` of the
+    index array ``rows``, from validated pairs and their bins ``bin_of``.
+
+    One bincount per statistic over the keys ``row * bins + bin`` gives every
+    row's counts and sums.  Bincount adds in array order, so each row's bins
+    equal those of :func:`_reliability_bins` on its resample bit for bit,
+    and each ECE sums the filled bins' terms in bin order, as
+    :meth:`BinStats.ece` does.
+    """
+    k, n = rows.shape
+    keys = bin_of[rows]
+    keys += bins * np.arange(k)[:, None]
+    keys = keys.ravel()
+    counts = np.bincount(keys, minlength=k * bins).reshape(k, bins)
+    sum_p = np.bincount(keys, weights=p[rows].ravel(), minlength=k * bins).reshape(k, bins)
+    sum_y = np.bincount(keys, weights=y[rows].ravel(), minlength=k * bins).reshape(k, bins)
+    with np.errstate(invalid="ignore"):  # 0/0 in empty bins
+        gaps = np.abs(sum_y / counts - sum_p / counts)
+    filled = counts > 0
+    # each row's filled terms moved to its front, in bin order; a row sum over
+    # a contiguous slice of exactly those terms adds them as np.sum does on
+    # the 1-D array (adding the empty bins as zeros, or np.add.reduceat,
+    # changes the order and the last bit)
+    width = filled.sum(axis=1)
+    front = np.zeros((k, bins))
+    front[np.arange(bins) < width[:, None]] = counts[filled] * gaps[filled]
+    ece = np.empty(k)
+    for m in np.unique(width):
+        group = width == m
+        ece[group] = front[group, :m].sum(axis=1)
+    return ece / n, np.fmax.reduce(gaps, axis=1)
 
 
 def brier(probs, labels) -> float:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force: exhaustive enumeration and
 per-sample Python loops, sharing no code with the package under test
-(the row-wise CSV loaders build the package's own result and error types).
+(the row-wise CSV loaders build the package's own result and error types,
+and the per-draw bootstrap scores each resample with the public metrics).
 """
 
 import csv
@@ -123,6 +124,48 @@ def slow_auc(scores, labels):
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def per_draw_bootstrap(probs, labels, metric, bins, level, draws, seed):
+    """The percentile bootstrap by its definition: per draw, one
+    ``rng.integers(0, n, size=n)`` call and one call of the public metric on
+    the resample, skipping draws where it is undefined.  Returns
+    ``(samples, IntervalEstimate)``."""
+    from calibench import metrics
+    from calibench.errors import SingleClassError
+    from calibench.stats import IntervalEstimate
+
+    evaluators = {
+        "ece": lambda p, y: metrics.ece(p, y, bins=bins),
+        "mce": lambda p, y: metrics.mce(p, y, bins=bins),
+        "brier": metrics.brier,
+        "log_loss": metrics.log_loss,
+        "auc": metrics.auc,
+        "reliability": lambda p, y: 1.0 - metrics.ece(p, y, bins=bins),
+    }
+    evaluate = evaluators[metric]
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(labels)
+    point = float(evaluate(p, y))
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(draws):
+        idx = rng.integers(0, p.size, size=p.size)
+        try:
+            samples.append(float(evaluate(p[idx], y[idx])))
+        except SingleClassError:
+            continue
+    if not samples:
+        raise ValueError(f"metric {metric!r} was undefined on every bootstrap draw")
+    tail = 0.5 * (1.0 - level)
+    lower, upper = np.quantile(samples, [tail, 1.0 - tail])
+    interval = IntervalEstimate(
+        mean=point,
+        lower=min(float(lower), point),
+        upper=max(float(upper), point),
+        level=level,
+    )
+    return np.array(samples), interval
 
 
 def slow_forest_tree(x, y, max_depth, mtry, rng):

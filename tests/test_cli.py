@@ -2,6 +2,7 @@
 through ``main(argv)``, plus the exit-code contract and output formats."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -318,6 +319,20 @@ def test_compare_prints_all_pairs(results_file, capsys, tmp_path):
         )
 
 
+def test_compare_threshold_is_the_bonferroni_threshold(results_file, capsys, tmp_path):
+    from calibench.stats import bonferroni
+
+    out = tmp_path / "comparison.json"
+    assert run_cli(
+        "compare", "--results", str(results_file), "--alpha", "0.2", "--out", str(out)
+    ) == 0
+    payload = json.loads(out.read_text())
+    threshold, decisions = bonferroni([r["p_value"] for r in payload["comparisons"]], 0.2)
+    assert payload["bonferroni_threshold"] == threshold
+    assert f"bonferroni threshold: {threshold:.6g}" in capsys.readouterr().out
+    assert [r["significant_at_corrected_alpha"] for r in payload["comparisons"]] == list(decisions)
+
+
 def test_compare_marks_significance_with_stars(results_file, capsys):
     assert run_cli("compare", "--results", str(results_file), "--metric", "ece") == 0
     output = capsys.readouterr().out
@@ -536,6 +551,79 @@ def test_pipeline_reports_selection_and_writes_map(tmp_path, capsys):
     restored = map_from_json(payload)
     probs = apply_map(restored, np.array([0.1, 0.5, 0.9]))
     assert np.all((probs >= 0.0) & (probs <= 1.0))
+
+
+def _write_gaussian_logit(path, seed, coefficient, n=5000):
+    """x ~ N(0, I_2), y ~ Bernoulli(sigmoid(coefficient * x1)); x2 is noise."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 2))
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-coefficient * x[:, 0]))).astype(np.int64)
+    with open(path, "w") as handle:
+        handle.write("x1,x2,y\n")
+        handle.writelines(",".join(map(repr, row)) + f",{label}\n"
+                          for row, label in zip(x.tolist(), y.tolist()))
+
+
+# one dataset per selection rule: (data maker, pipeline flags, stdout before
+# the "wrote" line, map sha256); recorded before the bootstrap was drawn in
+# blocks, and unchanged by it
+PIPELINE_RUNS = {
+    "cal_size": (
+        ["synth", "--n", "1000", "--d", "10", "--seed", "42"],
+        ["--model", "logreg", "--seed", "0"],
+        "selection: platt: cal size 200 < 500\n"
+        "chosen method: platt\n"
+        "test ece: 0.0302546\n"
+        "test brier: 0.0259492\n"
+        "test ece 95% bootstrap ci: [0.0275309, 0.0593034]\n",
+        "cdbe0e1ae2f94b07610198c4f2f2258fe45685079cd3fd815256cc64e43e3677",
+    ),
+    "shapiro_wilk": (
+        (1, 4.0),
+        ["--seed", "0"],
+        "selection: isotonic: shapiro-wilk p=0 < 0.05\n"
+        "chosen method: isotonic\n"
+        "test ece: 0.0306765\n"
+        "test brier: 0.091935\n"
+        "test ece 95% bootstrap ci: [0.0190224, 0.0511297]\n",
+        "87a9ca4e6aba44b46c452a14ffc2752c021657356cf17058858ef06e62907712",
+    ),
+    "cv": (
+        (4, 0.2),
+        ["--seed", "0"],
+        "selection: cv: mean ece platt=0.06747 isotonic=0.06728 -> isotonic\n"
+        "chosen method: isotonic\n"
+        "test ece: 0.0236678\n"
+        "test brier: 0.24716\n"
+        "test ece 95% bootstrap ci: [0.0158466, 0.0582904]\n",
+        "140d5275b0f63ee18c70f309f9a7eeb4afbb3e94fa8f7c4975fba59bcb1eb772",
+    ),
+    "shapiro_wilk_forest": (
+        ["synth", "--n", "5000", "--d", "10", "--seed", "3"],
+        ["--model", "forest", "--trees", "20", "--depth", "6", "--seed", "0"],
+        "selection: isotonic: shapiro-wilk p=0 < 0.05\n"
+        "chosen method: isotonic\n"
+        "test ece: 0.0078531\n"
+        "test brier: 0.0223532\n"
+        "test ece 95% bootstrap ci: [0.006133, 0.0190289]\n",
+        "3e0fc539fb4fa552ac090d6791bd522e85587797df327c82540fca2259e7e14f",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(PIPELINE_RUNS))
+def test_pipeline_stdout_and_map_are_pinned(tmp_path, capsys, rule):
+    maker, flags, expected, map_sha256 = PIPELINE_RUNS[rule]
+    data_path = tmp_path / "data.csv"
+    if maker[0] == "synth":
+        assert run_cli(*maker, "--out", str(data_path)) == 0
+    else:
+        _write_gaussian_logit(data_path, *maker)
+    capsys.readouterr()
+    map_path = tmp_path / "map.json"
+    assert run_cli("pipeline", "--data", str(data_path), *flags, "--map-out", str(map_path)) == 0
+    assert capsys.readouterr().out == expected + f"wrote {map_path}\n"
+    assert hashlib.sha256(map_path.read_bytes()).hexdigest() == map_sha256
 
 
 def test_pipeline_rejects_unknown_model(tmp_path, capsys):

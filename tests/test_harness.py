@@ -3,6 +3,8 @@ repeated-CV protocol, method comparisons, the selection pipeline, the
 convergence study, bootstrap CIs, and results persistence."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from calibench.errors import (
     IncompleteRecordsError,
     InvalidSpecError,
     SchemaVersionMismatchError,
+    SingleClassError,
     TooFewSamplesError,
 )
 from calibench.harness import (
@@ -47,7 +50,7 @@ from calibench.harness import (
 )
 from calibench.stats import paired_t_test
 
-from oracles import row_load_score_csv
+from oracles import per_draw_bootstrap, row_load_score_csv
 
 
 def small_config(**overrides):
@@ -592,6 +595,109 @@ def test_bootstrap_ci_skips_undefined_draws():
     labels = np.array([0, 0, 0, 0, 0, 0, 0, 1])
     interval = bootstrap_metric_ci(probs, labels, metric="auc", draws=200, seed=0)
     assert np.isfinite(interval.mean)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"level": 1.5}, "level must be a number in (0, 1), got 1.5"),
+        ({"level": float("nan")}, "level must be a number in (0, 1), got nan"),
+        ({"level": 0}, "level must be a number in (0, 1), got 0"),
+        ({"level": 1.0}, "level must be a number in (0, 1), got 1.0"),
+        ({"level": "0.9"}, "level must be a number in (0, 1), got '0.9'"),
+        ({"draws": True}, "draws must be an integer >= 1, got True"),
+        ({"draws": 2.5}, "draws must be an integer >= 1, got 2.5"),
+        ({"draws": 0}, "draws must be an integer >= 1, got 0"),
+        ({"bins": 0}, "bins must be an integer >= 1, got 0"),
+        ({"bins": 2.5}, "bins must be an integer >= 1, got 2.5"),
+        ({"bins": 0, "metric": "brier"}, "bins must be an integer >= 1, got 0"),
+    ],
+    ids=["level-above-1", "level-nan", "level-0", "level-1", "level-str", "draws-bool",
+         "draws-float", "draws-0", "bins-0", "bins-float", "bins-0-brier"],
+)
+def test_bootstrap_ci_checks_arguments_before_any_draw(monkeypatch, kwargs, message):
+    from calibench import metrics
+
+    def never(*args, **kw):
+        raise AssertionError("a metric was evaluated before the arguments were checked")
+
+    for name in ("ece", "mce", "brier", "log_loss", "auc"):
+        monkeypatch.setattr(metrics, name, never)
+    monkeypatch.setattr(np.random, "default_rng", never)
+    probs = np.array([0.2, 0.8, 0.5, 0.7])
+    labels = np.array([0, 1, 0, 1])
+    with pytest.raises(ValueError) as caught:
+        bootstrap_metric_ci(probs, labels, **kwargs)
+    assert str(caught.value) == message
+
+
+def _bootstrap_cases():
+    """(probs, labels, bins) on odd and even n, n = 1 included, uniform and
+    on four levels (isotonic-like, so most bins of a resample are empty)."""
+    for n in (1, 2, 7, 200, 911):
+        rng = np.random.default_rng(n)
+        uniform = rng.random(n)
+        levels = rng.choice([0.05, 0.3, 0.31, 0.8], n)
+        for probs in (uniform, levels):
+            labels = (rng.random(n) < probs).astype(np.int64)
+            for bins in (1, 10, 15):
+                yield probs, labels, bins
+
+
+@pytest.mark.parametrize("metric", ["ece", "mce", "reliability", "brier", "log_loss", "auc"])
+@pytest.mark.parametrize("block", [25_000, 700], ids=["block-default", "block-700"])
+def test_bootstrap_matches_the_per_draw_definition(monkeypatch, metric, block):
+    # the 700-index block makes n = 200 and 911 run several blocks with a
+    # shorter last one: 3 rows of 200 (103 draws = 34 blocks + 1 row) and
+    # 1 row of 911; the default block holds all draws of the small n
+    monkeypatch.setattr(harness, "_BLOCK_INDICES", block)
+    draws = 103
+    for case, (probs, labels, bins) in enumerate(_bootstrap_cases()):
+        if metric not in ("ece", "mce", "reliability") and bins != 10:
+            continue
+        args = (probs, labels, metric, bins, 0.9, draws, case)
+        try:
+            samples, interval = per_draw_bootstrap(*args)
+        except (SingleClassError, ValueError) as exc:  # undefined on the full set or every draw
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                bootstrap_metric_ci(probs, labels, metric, bins, 0.9, draws, case)
+            continue
+        point, got = harness._bootstrap_samples(probs, labels, metric, bins, draws, case)
+        assert got.dtype == np.float64 and got.tobytes() == samples.tobytes(), (case, bins)
+        assert point == interval.mean
+        assert bootstrap_metric_ci(probs, labels, metric, bins, 0.9, draws, case) == interval
+
+
+@pytest.mark.parametrize("n", [1, 2, 199, 200, 911, 1000])
+def test_block_drawn_indices_equal_successive_per_draw_calls(n):
+    blocked, single = np.random.default_rng(n), np.random.default_rng(n)
+    rows = [1, 3, 100, 7]
+    drawn = np.concatenate([blocked.integers(0, n, size=(k, n)) for k in rows])
+    expected = np.stack([single.integers(0, n, size=n) for _ in range(sum(rows))])
+    assert np.array_equal(drawn, expected)
+    assert blocked.integers(0, 2**62) == single.integers(0, 2**62)  # same state after
+
+
+def _traced_peak(run):
+    run()  # first calls make NumPy's one-time allocations; measure a warm call
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bootstrap_block_arrays_stay_under_a_megabyte():
+    # the block arrays bound the extra memory: a single (draws, n) index
+    # draw would add 8 MB here and 100-row blocks about 3 MB; the per-draw
+    # loop's own peak is its full-set point estimate
+    rng = np.random.default_rng(5)
+    probs = rng.random(1000)
+    labels = (rng.random(1000) < probs).astype(np.int64)
+    old = _traced_peak(lambda: per_draw_bootstrap(probs, labels, "ece", 10, 0.95, 1000, 0))
+    new = _traced_peak(lambda: bootstrap_metric_ci(probs, labels, "ece", draws=1000, seed=0))
+    assert new - old < 1_000_000, (old, new)
 
 
 # ---------------------------------------------------------------------------
