@@ -58,10 +58,7 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    try:
-        config = SyntheticConfig(n=args.n, d=args.d, seed=args.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    config = SyntheticConfig(n=args.n, d=args.d, seed=args.seed)
     data = generate_synthetic(config)
     save_csv(data, args.out)
     print(f"wrote {args.out}: n={data.n} d={data.d} seed={config.seed} "
@@ -97,10 +94,7 @@ def _cmd_compare(args) -> int:
     if not (0.0 < args.alpha < 1.0):
         raise _UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
     table = load_results(args.results)
-    try:
-        rows = compare_methods(table, args.metric, family_alpha=args.alpha)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    rows = compare_methods(table, args.metric, family_alpha=args.alpha)
     threshold, _ = bonferroni([row.p_value for row in rows], args.alpha)
     print(f"metric: {args.metric}  pairs: {len(rows)}  "
           f"bonferroni threshold: {threshold:.6g}")
@@ -173,10 +167,7 @@ def _cmd_convergence(args) -> int:
     if args.seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     name, g_star = _parse_g_star(args.g_star)
-    try:
-        study = run_convergence_study(g_star, sizes, args.trials, args.seed)
-    except InvalidSpecError as exc:
-        raise _UsageError(str(exc)) from None
+    study = run_convergence_study(g_star, sizes, args.trials, args.seed)
     payload = {
         "g_star": name,
         "sizes": list(study.sizes),

@@ -2,15 +2,17 @@
 
 The synthetic generator draws features i.i.d. uniform on [0,1]^d from a
 seeded PCG64 generator and labels each row 1 exactly when x1 + x2 > 1.
-CSV ingestion is strict: every non-label column must parse as a finite
-number and the label column must hold only 0/1.  NumPy's C reader
-(``np.loadtxt``) parses the data rows, and its result is kept only where
-the row-wise ``csv`` parser would give the same: one row per physical
-line, as many columns as the header, every value finite, every label
-exactly 0 or 1.  Any other file goes to the row-wise parser, which names
-the first bad row or loads what the C reader turned down (quoted cells,
-``1_0``), so the set of accepted files and every value and error are the
-same either way.
+CSV ingestion is strict: every column a loader reads must parse as a
+finite number and the label column must hold only 0/1.  One reader serves
+datasets and score files.  NumPy's C reader (``np.loadtxt``) parses the
+data rows, and its result is kept only where the row-wise ``csv`` parser
+would give the same: one row per physical line, as many columns as the
+header, every value finite, every label exactly 0 or 1.  Any other file
+goes to the row-wise parser, which names the first bad row or loads what
+the C reader turned down (quoted cells, ``1_0``, a string column), so the
+set of accepted files and every value and error are the same either way.
+A loader adds only its header check, which also orders each row's cell
+checks, and its split of the matrix; every error it raises names the file.
 
 Stratified splitting shuffles each class with its own seeded permutation
 and deals samples so per-class counts match the requested ratio to within
@@ -143,30 +145,30 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
 # CSV input/output
 # ---------------------------------------------------------------------------
 
-def _parse_label(cell: str, row: int):
+def _parse_label(cell: str, path: str, row: int, column: str) -> int:
     try:
         value = float(cell)
     except ValueError:
         raise NonBinaryLabelError(
-            f"row {row}: label {cell!r} is not 0 or 1"
+            f"{path}: row {row}: label {cell!r} is not 0 or 1"
         ) from None
     if value == 0.0:
         return 0
     if value == 1.0:
         return 1
-    raise NonBinaryLabelError(f"row {row}: label {cell!r} is not 0 or 1")
+    raise NonBinaryLabelError(f"{path}: row {row}: label {cell!r} is not 0 or 1")
 
 
-def _parse_number(cell: str, row: int, column: str) -> float:
+def _parse_number(cell: str, path: str, row: int, column: str) -> float:
     try:
         value = float(cell)
     except ValueError:
         raise NonNumericFeatureError(
-            f"row {row}, column {column!r}: {cell!r} is not a number"
+            f"{path}: row {row}, column {column!r}: {cell!r} is not a number"
         ) from None
     if not math.isfinite(value):
         raise NonNumericFeatureError(
-            f"row {row}, column {column!r}: {cell!r} is not finite"
+            f"{path}: row {row}, column {column!r}: {cell!r} is not finite"
         )
     return value
 
@@ -222,16 +224,81 @@ def _parse_in_c(path: str, label_column: str):
     return header, rows
 
 
+def _load_rows(path: str, label_column: str, columns):
+    """``(header, rows)`` of a headed CSV read one ``csv`` row at a time.
+
+    Only the positions ``columns(path, header, label_column)`` returns are
+    parsed, in that order within each row, so the first bad cell in that
+    order is the one reported; the other columns of ``rows`` stay NaN.
+    """
+    with open(path, "r", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise EmptyFileError(f"{path}: file is empty") from None
+        positions = columns(path, header, label_column)
+        label_pos = header.index(label_column)
+        parsers = [
+            (i, _parse_label if i == label_pos else _parse_number, header[i])
+            for i in positions
+        ]
+        cells = []
+        append = cells.append
+        for row_number, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise NonNumericFeatureError(
+                    f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
+                )
+            for i, parse, name in parsers:
+                append(parse(row[i].strip(), path, row_number, name))
+    if not cells:
+        raise EmptyFileError(f"{path}: no data rows")
+    rows = np.full((len(cells) // len(positions), len(header)), np.nan)
+    rows[:, positions] = np.array(cells, dtype=np.float64).reshape(-1, len(positions))
+    return header, rows
+
+
+def _read_csv(path: str, label_column: str, columns):
+    """``(header, float matrix of every column in header order)``: from
+    NumPy's C reader where it gives what the row parser would, else from
+    the row parser.  ``columns`` is the loader's header check; it raises
+    for a header the loader cannot use and returns the positions to parse.
+    """
+    parsed = _parse_in_c(path, label_column)
+    if parsed is None:
+        return _load_rows(path, label_column, columns)
+    columns(path, parsed[0], label_column)
+    return parsed
+
+
+def _write_csv(path: str, header, values, labels) -> None:
+    """Write ``header``, then each row of ``values`` followed by its label."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row, label in zip(values, labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+
+
+def _dataset_columns(path: str, header: list, label_column: str) -> list:
+    if label_column not in header:
+        raise MissingColumnError(
+            f"{path}: label column {label_column!r} not in header {header}"
+        )
+    if len(header) < 2:
+        raise MissingColumnError(f"{path}: no feature columns besides {label_column!r}")
+    label_pos = header.index(label_column)
+    return [label_pos] + [i for i in range(len(header)) if i != label_pos]
+
+
 def load_csv(path: str, label_column: str = "y") -> Dataset:
     """Read a headed CSV into a Dataset.
 
     All non-label columns become features in header order.  Rows are
     reported 1-based (the header is row 0) in error messages.
     """
-    parsed = _parse_in_c(path, label_column)
-    if parsed is None or len(parsed[0]) < 2:
-        return _load_csv_rows(path, label_column)
-    header, rows = parsed
+    header, rows = _read_csv(path, label_column, _dataset_columns)
     label_pos = header.index(label_column)
     return Dataset(
         np.delete(rows, label_pos, axis=1),
@@ -241,101 +308,30 @@ def load_csv(path: str, label_column: str = "y") -> Dataset:
     )
 
 
-def _load_csv_rows(path: str, label_column: str) -> Dataset:
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path}: file is empty") from None
-        header = [name.strip() for name in header]
-        if label_column not in header:
-            raise MissingColumnError(
-                f"{path}: label column {label_column!r} not in header {header}"
-            )
-        label_pos = header.index(label_column)
-        feature_names = tuple(name for i, name in enumerate(header) if i != label_pos)
-        if not feature_names:
-            raise MissingColumnError(f"{path}: no feature columns besides {label_column!r}")
-        rows = []
-        labels = []
-        for row_number, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise NonNumericFeatureError(
-                    f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
-                )
-            labels.append(_parse_label(row[label_pos].strip(), row_number))
-            rows.append(
-                [
-                    _parse_number(cell.strip(), row_number, header[i])
-                    for i, cell in enumerate(row)
-                    if i != label_pos
-                ]
-            )
-    if not rows:
-        raise EmptyFileError(f"{path}: no data rows")
-    return Dataset(
-        np.asarray(rows, dtype=np.float64),
-        np.asarray(labels, dtype=np.int64),
-        feature_names,
-        Provenance.from_file(path),
-    )
-
-
 def save_csv(data: Dataset, path: str, label_column: str = "y") -> None:
     """Write a Dataset to CSV (header row; floats via repr, so a reload
     reproduces the values bit-for-bit)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(data.feature_names) + [label_column])
-        for row, label in zip(data.features, data.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    _write_csv(path, list(data.feature_names) + [label_column], data.features, data.labels)
+
+
+def _score_columns(path: str, header: list, label_column: str) -> list:
+    for required in ("score", label_column):
+        if required not in header:
+            raise MissingColumnError(
+                f"{path}: column {required!r} not in header {header}"
+            )
+    return [header.index("score"), header.index(label_column)]
 
 
 def load_score_csv(path: str) -> ScoreSet:
     """Read a score file (columns ``score`` and ``y``) into a ScoreSet."""
-    parsed = _parse_in_c(path, "y")
-    if parsed is None or "score" not in parsed[0]:
-        return _load_score_csv_rows(path)
-    header, rows = parsed
+    header, rows = _read_csv(path, "y", _score_columns)
     return ScoreSet(rows[:, header.index("score")], rows[:, header.index("y")].astype(np.int64))
-
-
-def _load_score_csv_rows(path: str) -> ScoreSet:
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise EmptyFileError(f"{path}: file is empty") from None
-        for required in ("score", "y"):
-            if required not in header:
-                raise MissingColumnError(
-                    f"{path}: column {required!r} not in header {header}"
-                )
-        score_pos = header.index("score")
-        label_pos = header.index("y")
-        scores = []
-        labels = []
-        for row_number, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise NonNumericFeatureError(
-                    f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
-                )
-            scores.append(_parse_number(row[score_pos].strip(), row_number, "score"))
-            labels.append(_parse_label(row[label_pos].strip(), row_number))
-    if not scores:
-        raise EmptyFileError(f"{path}: no data rows")
-    return ScoreSet(np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64))
 
 
 def save_score_csv(data: ScoreSet, path: str) -> None:
     """Write a ScoreSet as a score file (columns ``score`` and ``y``)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["score", "y"])
-        for score, label in zip(data.scores, data.labels):
-            writer.writerow([repr(float(score)), int(label)])
+    _write_csv(path, ["score", "y"], data.scores[:, None], data.labels)
 
 
 # ---------------------------------------------------------------------------

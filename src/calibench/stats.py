@@ -258,6 +258,7 @@ def _normal_quantile(p: float) -> float:
     return _invert_cdf(normal_cdf, p, -14.0, 14.0)
 
 
+@lru_cache(maxsize=128)
 def _t_quantile(p: float, df: int) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must lie in (0, 1)")

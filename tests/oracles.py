@@ -229,30 +229,30 @@ def slow_forest_tree(x, y, max_depth, mtry, rng):
 # row-wise CSV loaders: one csv row at a time, one float() per cell
 # ---------------------------------------------------------------------------
 
-def _row_label(cell: str, row: int):
+def _row_label(cell: str, row: int, path: str):
     try:
         value = float(cell)
     except ValueError:
         raise NonBinaryLabelError(
-            f"row {row}: label {cell!r} is not 0 or 1"
+            f"{path}: row {row}: label {cell!r} is not 0 or 1"
         ) from None
     if value == 0.0:
         return 0
     if value == 1.0:
         return 1
-    raise NonBinaryLabelError(f"row {row}: label {cell!r} is not 0 or 1")
+    raise NonBinaryLabelError(f"{path}: row {row}: label {cell!r} is not 0 or 1")
 
 
-def _row_number(cell: str, row: int, column: str) -> float:
+def _row_number(cell: str, row: int, column: str, path: str) -> float:
     try:
         value = float(cell)
     except ValueError:
         raise NonNumericFeatureError(
-            f"row {row}, column {column!r}: {cell!r} is not a number"
+            f"{path}: row {row}, column {column!r}: {cell!r} is not a number"
         ) from None
     if not math.isfinite(value):
         raise NonNumericFeatureError(
-            f"row {row}, column {column!r}: {cell!r} is not finite"
+            f"{path}: row {row}, column {column!r}: {cell!r} is not finite"
         )
     return value
 
@@ -282,10 +282,10 @@ def row_load_csv(path: str, label_column: str = "y") -> Dataset:
                 raise NonNumericFeatureError(
                     f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
                 )
-            labels.append(_row_label(row[label_pos].strip(), row_number))
+            labels.append(_row_label(row[label_pos].strip(), row_number, path))
             rows.append(
                 [
-                    _row_number(cell.strip(), row_number, header[i])
+                    _row_number(cell.strip(), row_number, header[i], path)
                     for i, cell in enumerate(row)
                     if i != label_pos
                 ]
@@ -322,8 +322,8 @@ def row_load_score_csv(path: str) -> ScoreSet:
                 raise NonNumericFeatureError(
                     f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
                 )
-            scores.append(_row_number(row[score_pos].strip(), row_number, "score"))
-            labels.append(_row_label(row[label_pos].strip(), row_number))
+            scores.append(_row_number(row[score_pos].strip(), row_number, "score", path))
+            labels.append(_row_label(row[label_pos].strip(), row_number, path))
     if not scores:
         raise EmptyFileError(f"{path}: no data rows")
     return ScoreSet(np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64))

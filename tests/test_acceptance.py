@@ -315,24 +315,26 @@ def test_criterion_08_metric_invariants():
 # 9. isotonic solver scaling
 # ---------------------------------------------------------------------------
 
-def _pav_core_seconds(n: int, rng) -> float:
-    values = rng.random(n)
-    weights = np.ones(n)
-    best = float("inf")
+def _pav_core_seconds(sizes, rng) -> list:
+    """Best of 5 times of the PAV core at each of ``sizes``, the sizes timed
+    in turn within each repetition so that a change in machine speed during
+    the measurement hits all of them alike."""
+    inputs = [(rng.random(n), np.ones(n)) for n in sizes]
+    best = [float("inf")] * len(sizes)
     for _ in range(5):
-        started = time.perf_counter()
-        _pav_block_starts(values, weights)
-        best = min(best, time.perf_counter() - started)
+        for k, (values, weights) in enumerate(inputs):
+            started = time.perf_counter()
+            _pav_block_starts(values, weights)
+            best[k] = min(best[k], time.perf_counter() - started)
     return best
 
 
 def test_criterion_09_isotonic_solver_scaling():
     failures = []
     rng = np.random.default_rng(909)
-    _pav_core_seconds(2_000_000, rng)  # warm-up: page in allocations
+    _pav_core_seconds([2_000_000], rng)  # warm-up: page in allocations
     for n in (100_000, 500_000, 1_000_000):
-        t_n = _pav_core_seconds(n, rng)
-        t_2n = _pav_core_seconds(2 * n, rng)
+        t_n, t_2n = _pav_core_seconds([n, 2 * n], rng)
         ratio = t_2n / t_n
         if ratio > 2.5:
             failures.append(

@@ -270,6 +270,33 @@ def test_benchmark_and_compare_write_infinite_statistics(tmp_path, capsys):
         assert rows and all(row["t_statistic"] in ("inf", "-inf") for row in rows)
 
 
+def test_benchmark_data_error_names_the_bad_score_file(tmp_path, capsys):
+    write_score_file(tmp_path / "cal.csv", seed=1)
+    write_score_file(tmp_path / "test.csv", seed=2)
+    bad = tmp_path / "bad_cal.csv"
+    bad.write_text("score,y\n0.25,0\n0.75,2\n")
+    entries = [
+        {"cal": str(tmp_path / "cal.csv"), "test": str(tmp_path / "test.csv")},
+        {"cal": str(bad), "test": str(tmp_path / "test.csv")},
+    ]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "source": {"scores": {"entries": entries}},
+                "model": {"external": {}},
+                "methods": ["uncalibrated", "isotonic"],
+                "folds": 2,
+                "repeats": 1,
+            }
+        )
+    )
+    out = tmp_path / "results.json"
+    assert run_cli("benchmark", "--config", str(config_path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"data error: {bad}: row 2: label '2' is not 0 or 1\n"
+    assert not out.exists()
+
+
 def test_benchmark_missing_config_file_is_data_error(tmp_path, capsys):
     out = tmp_path / "results.json"
     assert run_cli("benchmark", "--config", str(tmp_path / "absent.json"), "--out", str(out)) == 2

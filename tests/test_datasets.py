@@ -233,7 +233,7 @@ _EQUIVALENCE = settings(
 
 
 @_EQUIVALENCE
-@given(body=_csv_file("y", ["score"]) | _csv_file("y", ["score", "id"]))
+@given(body=_csv_file("y", ["score"]) | _csv_file("y", ["score", "id"]) | _csv_file("y", ["id"]))
 def test_load_score_csv_matches_the_row_parser(tmp_path, body):
     path = tmp_path / "scores.csv"
     path.write_text(body, newline="")
@@ -241,7 +241,10 @@ def test_load_score_csv_matches_the_row_parser(tmp_path, body):
 
 
 @_EQUIVALENCE
-@given(body=_csv_file("y", ["x1"]) | _csv_file("y", ["x1", "x2", "x3"]) | _csv_file("y", []))
+@given(
+    body=_csv_file("y", ["x1"]) | _csv_file("y", ["x1", "x2", "x3"]) | _csv_file("y", [])
+    | _csv_file("z", ["x1"])
+)
 def test_load_csv_matches_the_row_parser(tmp_path, body):
     path = tmp_path / "data.csv"
     path.write_text(body, newline="")
@@ -258,7 +261,7 @@ def test_clean_score_files_never_reach_the_row_parser(tmp_path, monkeypatch, bod
     path = tmp_path / "scores.csv"
     path.write_text(body, newline="")
     want = _outcome(row_load_score_csv, str(path))
-    monkeypatch.setattr(datasets, "_load_score_csv_rows", None)
+    monkeypatch.setattr(datasets, "_load_rows", None)
     assert _outcome(load_score_csv, str(path)) == want
 
 
@@ -274,7 +277,7 @@ def test_clean_dataset_files_never_reach_the_row_parser(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     save_csv(data, str(path))
     want = _outcome(row_load_csv, str(path))
-    monkeypatch.setattr(datasets, "_load_csv_rows", None)
+    monkeypatch.setattr(datasets, "_load_rows", None)
     assert _outcome(load_csv, str(path)) == want
 
 

@@ -1,6 +1,10 @@
 """The package's public names: each is declared once, in its module's
 ``__all__``, and ``calibench`` re-exports every one of them."""
 
+import os
+import subprocess
+import sys
+
 import calibench
 from calibench import calibrators, datasets, errors, harness, metrics, models, stats
 
@@ -28,3 +32,19 @@ def test_names_missing_from_the_hand_written_list_import():
     )
 
     assert EmptyFamilyError is errors.EmptyFamilyError
+
+
+def test_cli_import_loads_only_numpy_and_the_standard_library():
+    # a fresh interpreter, so that modules other tests imported do not count
+    code = (
+        "import sys; before = set(sys.modules); import calibench.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = os.path.dirname(os.path.dirname(calibench.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    foreign = {name.split(".")[0] for name in loaded} - {"calibench", "numpy"}
+    assert "calibench.cli" in loaded
+    assert foreign <= set(sys.stdlib_module_names), sorted(foreign - set(sys.stdlib_module_names))
