@@ -12,6 +12,8 @@ import typing
 
 import numpy as np
 
+from .errors import NotConvergedError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -72,6 +74,39 @@ def sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def damped_newton(name: str, params: np.ndarray, newton, objective, tol: float, max_iter: int):
+    """Minimize ``objective`` from the float vector ``params`` by Newton
+    steps with step halving; ``newton(params)`` gives the gradient max-norm
+    and a function for the step.  Return ``(params, iterations, gnorm)`` at
+    norm ``tol``, or after (and counting) a step that moves no parameter;
+    raise NotConvergedError after ``max_iter`` steps or 60 failed halvings."""
+    current = objective(params)
+    iterations = 0
+    while True:
+        gnorm, solve = newton(params)
+        if gnorm <= tol:
+            return params, iterations, gnorm
+        if iterations >= max_iter:
+            raise NotConvergedError(
+                f"{name} fit: gradient norm {gnorm:.3e} > tol {tol:.1e} "
+                f"after {max_iter} iterations"
+            )
+        step = solve()
+        eta = 1.0
+        for _ in range(60):
+            candidate = params + eta * step
+            value = objective(candidate)
+            if value <= current:
+                break
+            eta *= 0.5
+        else:
+            raise NotConvergedError(f"{name} fit: line search found no descent step")
+        iterations += 1
+        if np.array_equal(candidate, params):
+            return params, iterations, gnorm
+        params, current = candidate, value
 
 
 def write_json(path: str, payload) -> None:

@@ -2,8 +2,9 @@
 
 Platt scaling fits ``sigma(A*s + B)`` to (score, label) pairs by minimizing
 the negative log-likelihood plus a small ridge term ``ridge*(A^2+B^2)/2``
-(Newton-Raphson with step halving; the ridge guarantees a finite optimum on
-separable or single-class calibration sets).
+(the ridge guarantees a finite optimum on separable or single-class
+calibration sets) with the damped Newton solver that logistic regression
+also uses.
 
 Isotonic regression computes the unique squared-error-minimizing
 non-decreasing fit of labels against scores — a right-continuous step
@@ -28,9 +29,10 @@ from .errors import (
     CalibrationWarning,
     DegenerateLabelsError,
     LengthMismatchError,
-    NotConvergedError,
 )
-from ._util import as_binary_labels, as_float_vector, from_json, readonly, sigmoid, to_json
+from ._util import (
+    as_binary_labels, as_float_vector, damped_newton, from_json, readonly, sigmoid, to_json,
+)
 
 __all__ = [
     "METHODS",
@@ -150,12 +152,11 @@ def fit_platt(
 ) -> PlattMap:
     """Fit sigma(A*s + B) by penalized maximum likelihood.
 
-    Minimizes the negative log-likelihood plus ``ridge*(A^2+B^2)/2`` with
-    Newton-Raphson and step halving; convergence is declared when the
-    gradient max-norm drops to ``tol``, or when the line search can only
-    accept a step too small to move (A, B) in floating point: that point
-    is a fixed point of the iteration, and ``final_gradient_norm`` may
-    then exceed ``tol``.
+    Minimizes the negative log-likelihood plus ``ridge*(A^2+B^2)/2`` by
+    Newton-Raphson with step halving.  Converged when the gradient
+    max-norm is at most ``tol``, or when an accepted step leaves (A, B)
+    unchanged in floating point: a fixed point, where
+    ``final_gradient_norm`` may exceed ``tol``.
 
     ``smooth_targets=True`` replaces the raw 0/1 labels with the classic
     smoothed pseudo-targets (N+ + 1)/(N+ + 2) and 1/(N- + 2); the default
@@ -189,50 +190,32 @@ def fit_platt(
     else:
         t = y.astype(np.float64)
 
-    def objective(z, a: float, b: float) -> float:  # z = a * s + b
+    def objective(params) -> float:
+        a, b = params.tolist()
+        z = a * s + b
         return float(np.sum(np.logaddexp(0.0, z) - t * z)) + 0.5 * ridge * (a * a + b * b)
 
-    A = 0.0
-    B = 0.0
-    iterations = 0
-    while True:
-        z = A * s + B
-        p = sigmoid(z)
+    def newton(params):
+        a, b = params.tolist()
+        p = sigmoid(a * s + b)
         resid = p - t
-        gA = float(resid @ s) + ridge * A
-        gB = float(resid.sum()) + ridge * B
-        gnorm = max(abs(gA), abs(gB))
-        if gnorm <= tol:
-            break
-        if iterations >= max_iter:
-            raise NotConvergedError(
-                f"Platt fit: gradient norm {gnorm:.3e} > tol {tol:.1e} "
-                f"after {max_iter} iterations"
-            )
-        w = p * (1.0 - p)
-        h_aa = float(w @ (s * s)) + ridge
-        h_ab = float(w @ s)
-        h_bb = float(w.sum()) + ridge
-        det = h_aa * h_bb - h_ab * h_ab
-        if det > 0.0 and np.isfinite(det):
-            dA = -(h_bb * gA - h_ab * gB) / det
-            dB = -(h_aa * gB - h_ab * gA) / det
-        else:  # singular Hessian: fall back to a gradient step
-            dA, dB = -gA, -gB
-        current = objective(z, A, B)
-        eta = 1.0
-        for _ in range(60):
-            cand_a = A + eta * dA
-            cand_b = B + eta * dB
-            if objective(cand_a * s + cand_b, cand_a, cand_b) <= current:
-                break
-            eta *= 0.5
-        else:
-            raise NotConvergedError("Platt fit: line search found no descent step")
-        if cand_a == A and cand_b == B:  # no representable step moves (A, B)
-            break
-        A, B = cand_a, cand_b
-        iterations += 1
+        gA = float(resid @ s) + ridge * a
+        gB = float(resid.sum()) + ridge * b
+
+        def solve():
+            w = p * (1.0 - p)
+            h_aa = float(w @ (s * s)) + ridge
+            h_ab = float(w @ s)
+            h_bb = float(w.sum()) + ridge
+            det = h_aa * h_bb - h_ab * h_ab
+            if det > 0.0 and np.isfinite(det):
+                return np.array([-(h_bb * gA - h_ab * gB) / det, -(h_aa * gB - h_ab * gA) / det])
+            return np.array([-gA, -gB])  # singular Hessian: a gradient step
+
+        return max(abs(gA), abs(gB)), solve
+
+    params, iterations, gnorm = damped_newton("Platt", np.zeros(2), newton, objective, tol, max_iter)
+    A, B = params.tolist()
     return PlattMap(A=A, B=B, iterations_used=iterations, final_gradient_norm=gnorm)
 
 

@@ -70,7 +70,7 @@ def _cmd_benchmark(args) -> int:
     with open(args.config, "r") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise _UsageError(f"{args.config}: not valid JSON ({exc})") from None
     try:
         config = config_from_json(payload)
@@ -294,22 +294,13 @@ def main(argv=None) -> int:
         return 1
     try:
         return int(args.handler(args))
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NotConvergedError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except InvalidSpecError as exc:
+    except (_UsageError, InvalidSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except CalibenchError as exc:
+    except (OSError, CalibenchError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

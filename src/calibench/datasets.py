@@ -230,28 +230,37 @@ def _load_rows(path: str, label_column: str, columns):
     Only the positions ``columns(path, header, label_column)`` returns are
     parsed, in that order within each row, so the first bad cell in that
     order is the one reported; the other columns of ``rows`` stay NaN.
+    A row ``csv`` cannot split, or text that is not UTF-8, raises
+    :class:`NonNumericFeatureError`.
     """
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise EmptyFileError(f"{path}: file is empty") from None
-        positions = columns(path, header, label_column)
-        label_pos = header.index(label_column)
-        parsers = [
-            (i, _parse_label if i == label_pos else _parse_number, header[i])
-            for i in positions
-        ]
-        cells = []
-        append = cells.append
-        for row_number, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise NonNumericFeatureError(
-                    f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
-                )
-            for i, parse, name in parsers:
-                append(parse(row[i].strip(), path, row_number, name))
+    row_number = -1  # the header is row 0
+    try:
+        with open(path, "r", newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = [name.strip() for name in next(reader)]
+            except StopIteration:
+                raise EmptyFileError(f"{path}: file is empty") from None
+            row_number = 0
+            positions = columns(path, header, label_column)
+            label_pos = header.index(label_column)
+            parsers = [
+                (i, _parse_label if i == label_pos else _parse_number, header[i])
+                for i in positions
+            ]
+            cells = []
+            append = cells.append
+            for row_number, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise NonNumericFeatureError(
+                        f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
+                    )
+                for i, parse, name in parsers:
+                    append(parse(row[i].strip(), path, row_number, name))
+    except csv.Error as exc:
+        raise NonNumericFeatureError(f"{path}: row {row_number + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise NonNumericFeatureError(f"{path}: {exc}") from None
     if not cells:
         raise EmptyFileError(f"{path}: no data rows")
     rows = np.full((len(cells) // len(positions), len(header)), np.nan)

@@ -3,11 +3,11 @@ a bagged decision-tree forest.
 
 Logistic regression minimizes the negative log-likelihood plus
 ``||w||^2/(2C)`` on the raw-feature weights (bias unpenalized) by
-Newton-Raphson with step halving.  The optimizer works in standardized
-coordinates (training mean/std, a zero std becomes scale 1) purely for
-conditioning — the penalty is mapped into those coordinates so the fitted
-model is identical to a raw-space fit.  A singular Hessian falls back to a
-gradient step; only exceeding ``max_iter`` aborts.
+the damped Newton solver that Platt scaling also uses.  The optimizer works
+in standardized coordinates (training mean/std, a zero std becomes scale 1)
+purely for conditioning — the penalty is mapped into those coordinates so
+the fitted model is identical to a raw-space fit.  A singular Hessian falls
+back to a gradient step.
 
 The forest bags ``tree_count`` depth-limited CART trees: each tree trains
 on its own bootstrap resample (n draws with replacement), each split
@@ -41,10 +41,9 @@ from .datasets import Dataset
 from .errors import (
     DimensionMismatchError,
     MalformedModelError,
-    NotConvergedError,
     SingleClassError,
 )
-from ._util import from_json, readonly, sigmoid, to_json
+from ._util import damped_newton, from_json, readonly, sigmoid, to_json
 
 __all__ = [
     "LogisticModel",
@@ -137,10 +136,9 @@ def fit_logistic(
     The penalty is ``||w||^2/(2C)`` on the raw-feature weights with the
     bias unpenalized.  Converged when the gradient max-norm (in the
     standardized optimization coordinates) is at most ``tol``, or when an
-    update leaves it exactly unchanged: the iteration has reached a fixed
-    point in floating point, and ``final_gradient_norm`` may then exceed
-    ``tol``.  Raises :class:`NotConvergedError` after ``max_iter`` Newton
-    updates.
+    accepted step leaves every coefficient unchanged in floating point: a
+    fixed point, where ``final_gradient_norm`` may exceed ``tol``.  Raises
+    :class:`NotConvergedError` after ``max_iter`` Newton updates.
     """
     if C <= 0.0:
         raise ValueError(f"C must be > 0, got {C}")
@@ -158,59 +156,42 @@ def fit_logistic(
     # coordinates (w_raw = w/sd) is a diagonal penalty with these weights
     ridge = 1.0 / (C * sd * sd)
 
-    def objective(w: np.ndarray, b: float) -> float:
-        z = x @ w + b
+    def objective(params) -> float:
+        w = params[:d]
+        z = x @ w + params[d]
         return float(np.sum(np.logaddexp(0.0, z) - y * z)) + 0.5 * float(ridge @ (w * w))
 
-    w = np.zeros(d)
-    b = 0.0
-    iterations = 0
-    previous = None
-    while True:
-        z = x @ w + b
-        p = sigmoid(z)
+    def newton(params):
+        w = params[:d]
+        p = sigmoid(x @ w + params[d])
         resid = p - y
-        grad_w = x.T @ resid + ridge * w
-        grad_b = float(resid.sum())
-        gnorm = max(float(np.abs(grad_w).max()) if d else 0.0, abs(grad_b))
-        if gnorm <= tol or gnorm == previous:
-            break
-        if iterations >= max_iter:
-            raise NotConvergedError(
-                f"logistic fit: gradient norm {gnorm:.3e} > tol {tol:.1e} "
-                f"after {max_iter} iterations"
-            )
-        wt = p * (1.0 - p)
-        xw = x * wt[:, None]
-        hess = np.empty((d + 1, d + 1))
-        hess[:d, :d] = x.T @ xw + np.diag(ridge)
-        hess[:d, d] = xw.sum(axis=0)
-        hess[d, :d] = hess[:d, d]
-        hess[d, d] = float(wt.sum())
-        grad = np.append(grad_w, grad_b)
-        try:
-            step = np.linalg.solve(hess, -grad)
-            if not np.isfinite(step).all():
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            step = -grad  # singular Hessian: plain gradient step
-        current = objective(w, b)
-        eta = 1.0
-        for _ in range(60):
-            cand_w = w + eta * step[:d]
-            cand_b = b + eta * float(step[d])
-            if objective(cand_w, cand_b) <= current:
-                break
-            eta *= 0.5
-        else:
-            raise NotConvergedError("logistic fit: line search found no descent step")
-        w, b = cand_w, cand_b
-        previous = gnorm
-        iterations += 1
+        grad = np.append(x.T @ resid + ridge * w, resid.sum())
+
+        def solve():
+            wt = p * (1.0 - p)
+            xw = x * wt[:, None]
+            hess = np.empty((d + 1, d + 1))
+            hess[:d, :d] = x.T @ xw + np.diag(ridge)
+            hess[:d, d] = xw.sum(axis=0)
+            hess[d, :d] = hess[:d, d]
+            hess[d, d] = float(wt.sum())
+            try:
+                step = np.linalg.solve(hess, -grad)
+                if not np.isfinite(step).all():
+                    raise np.linalg.LinAlgError
+            except np.linalg.LinAlgError:
+                step = -grad  # singular Hessian: plain gradient step
+            return step
+
+        return float(np.abs(grad).max()), solve
+
+    params, iterations, gnorm = damped_newton(
+        "logistic", np.zeros(d + 1), newton, objective, tol, max_iter
+    )
 
     # fold the standardization into the reported raw-feature coefficients
-    w_raw = w / sd
-    b_raw = b - float(w_raw @ mu)
+    w_raw = params[:d] / sd
+    b_raw = float(params[d]) - float(w_raw @ mu)
     return LogisticModel(
         weights=w_raw,
         bias=b_raw,

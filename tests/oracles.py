@@ -257,13 +257,32 @@ def _row_number(cell: str, row: int, column: str, path: str) -> float:
     return value
 
 
+def _csv_rows(handle, path: str):
+    """``(row number, cells)`` per csv row of ``handle``, the header as row
+    0.  A row csv cannot split, or text that is not UTF-8, raises
+    NonNumericFeatureError naming the file."""
+    reader = csv.reader(handle)
+    row_number = 0
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise NonNumericFeatureError(f"{path}: row {row_number}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise NonNumericFeatureError(f"{path}: {exc}") from None
+        yield row_number, row
+        row_number += 1
+
+
 def row_load_csv(path: str, label_column: str = "y") -> Dataset:
     """``datasets.load_csv`` as it was before the C parse: the reference for
     every value, error class, message and row number it gives."""
     with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(handle, path)
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise EmptyFileError(f"{path}: file is empty") from None
         header = [name.strip() for name in header]
@@ -277,7 +296,7 @@ def row_load_csv(path: str, label_column: str = "y") -> Dataset:
             raise MissingColumnError(f"{path}: no feature columns besides {label_column!r}")
         rows = []
         labels = []
-        for row_number, row in enumerate(reader, start=1):
+        for row_number, row in reader:
             if len(row) != len(header):
                 raise NonNumericFeatureError(
                     f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
@@ -303,9 +322,9 @@ def row_load_csv(path: str, label_column: str = "y") -> Dataset:
 def row_load_score_csv(path: str) -> ScoreSet:
     """``datasets.load_score_csv`` as it was before the C parse."""
     with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(handle, path)
         try:
-            header = [name.strip() for name in next(reader)]
+            header = [name.strip() for name in next(reader)[1]]
         except StopIteration:
             raise EmptyFileError(f"{path}: file is empty") from None
         for required in ("score", "y"):
@@ -317,7 +336,7 @@ def row_load_score_csv(path: str) -> ScoreSet:
         label_pos = header.index("y")
         scores = []
         labels = []
-        for row_number, row in enumerate(reader, start=1):
+        for row_number, row in reader:
             if len(row) != len(header):
                 raise NonNumericFeatureError(
                     f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"

@@ -138,6 +138,11 @@ def test_benchmark_rejects_bad_configs(tmp_path, capsys):
     assert run_cli("benchmark", "--config", str(garbled), "--out", str(out)) == 1
     assert "not valid JSON" in capsys.readouterr().err
 
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"model": "\xe9"}')
+    assert run_cli("benchmark", "--config", str(latin1), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {latin1}: not valid JSON")
+
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"model": {"logreg": {}}}))
     assert run_cli("benchmark", "--config", str(incomplete), "--out", str(out)) == 1
@@ -491,6 +496,27 @@ def test_reliability_missing_scores_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_reliability_cell_past_the_csv_field_limit_is_data_error(tmp_path, capsys):
+    scores_path = tmp_path / "scores.csv"
+    scores_path.write_text("score,y\n0.5,1\n" + " " * 200_000 + "0.25,0\n")
+    out = tmp_path / "never.csv"
+    assert run_cli("reliability", "--scores", str(scores_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {scores_path}: row 2: field larger than field limit")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_reliability_score_file_not_utf8_is_data_error(tmp_path, capsys):
+    scores_path = tmp_path / "scores.csv"
+    scores_path.write_bytes(b"score,y\n0.5,1\n\xff\xfe,0\n")
+    out = tmp_path / "never.csv"
+    assert run_cli("reliability", "--scores", str(scores_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {scores_path}: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # convergence
 # ---------------------------------------------------------------------------
@@ -651,6 +677,27 @@ def test_pipeline_stdout_and_map_are_pinned(tmp_path, capsys, rule):
     assert run_cli("pipeline", "--data", str(data_path), *flags, "--map-out", str(map_path)) == 0
     assert capsys.readouterr().out == expected + f"wrote {map_path}\n"
     assert hashlib.sha256(map_path.read_bytes()).hexdigest() == map_sha256
+
+
+def test_readme_logreg_benchmark_results_are_pinned(tmp_path):
+    # the README logreg config; the sha256 of its results file is the
+    # byte-identity gate for refactors of the fits and the harness
+    config_path = tmp_path / "experiment.json"
+    config_path.write_text(json.dumps({
+        "source": {"synthetic": {"n": 1000, "d": 10, "seed": 42}},
+        "model": {"logreg": {"C": 1.0}},
+        "methods": ["uncalibrated", "platt", "isotonic"],
+        "feature_mode": "informative",
+        "folds": 5,
+        "repeats": 10,
+        "bins": 10,
+        "base_seed": 42,
+    }))
+    out = tmp_path / "results.json"
+    assert run_cli("benchmark", "--config", str(config_path), "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7c87008a45988e8fabeb18406962fd2ba6e701f889874a1fc76fee1ea84a88c7"
+    )
 
 
 def test_pipeline_rejects_unknown_model(tmp_path, capsys):

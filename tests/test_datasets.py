@@ -1,7 +1,5 @@
 """Dataset generation, CSV I/O, feature selection, and split machinery."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -269,7 +267,7 @@ def test_a_cell_past_the_csv_field_limit_fails_as_before(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("score,y\n0.5,1\n" + " " * 200_000 + "0.25,0\n")
     assert _outcome(load_score_csv, str(path)) == _outcome(row_load_score_csv, str(path))
-    assert _outcome(load_score_csv, str(path))[0] is csv.Error
+    assert _outcome(load_score_csv, str(path))[0] is NonNumericFeatureError
 
 
 def test_clean_dataset_files_never_reach_the_row_parser(tmp_path, monkeypatch):

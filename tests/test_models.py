@@ -375,6 +375,14 @@ def test_fit_logistic_stops_at_a_floating_point_fixed_point():
     assert 1e-8 < model.final_gradient_norm < 1e-6
 
 
+def test_fit_logistic_does_not_stop_where_a_gradient_norm_repeats():
+    # the norm repeats at 4.5e-08 after the 12th update while the
+    # coefficients still move; the Newton steps that follow reach tol
+    data = select_features(generate_synthetic(SyntheticConfig(200, 10, 5)), [0, 1])
+    train, _ = stratified_split(data, 0.6, seed=5)
+    assert fit_logistic(train).final_gradient_norm <= 1e-8
+
+
 def test_model_json_round_trips():
     data = generate_synthetic(SyntheticConfig(200, 3, 4))
     probe = np.random.default_rng(2).random((25, 3))
