@@ -18,14 +18,19 @@ distinct values), and leaves predict their positive-label fraction.
 Tree t's generator is ``default_rng([seed, t])``, so fits are
 deterministic and trees independent.
 
-Trees grow level-wise, a block of ``_BLOCK_TREES`` at a time.  Feature
-values are ranked once per fit; at each depth, each tree draws the
-candidate features of all its splittable nodes at once, and all nodes of
-the block are scored together, one sort and one segmented cumulative sum
-per candidate column (the presorted class counts of SLIQ, Mehta et al.
-1996, in the level-wise layout of XGBoost, Chen & Guestrin 2016, with
-exact thresholds rather than histograms).  Fitted trees number their
-nodes breadth-first.  Prediction walks every (tree, row) pair together.
+Trees grow level-wise, a block of ``_BLOCK_TREES`` at a time.  A tree's
+n bootstrap draws hold about 63 % distinct rows, so each tree is grown on
+its distinct rows, each weighted by how often it was drawn; the weighted
+counts are exact integers in float64, so the trees equal, bit for bit,
+those grown on every drawn row.  Feature values are ranked once per fit;
+at each depth, each tree draws the candidate features of all its
+splittable nodes at once, and all nodes of the block are scored together,
+one sort and two segmented weighted cumulative sums per candidate column
+(the presorted class counts of SLIQ, Mehta et al. 1996, in the level-wise
+layout of XGBoost, Chen & Guestrin 2016, with exact thresholds rather
+than histograms).  Fitted trees number their nodes breadth-first.
+Prediction walks every (tree, row) pair together; a row with a NaN
+feature predicts NaN.
 """
 
 from __future__ import annotations
@@ -231,10 +236,11 @@ def predict_logistic(model: LogisticModel, features):
 
 _MIN_GINI_GAIN = 1e-12
 # trees grown together.  No tree depends on its block, only time and memory
-# do.  At the README forest config (675 rows, d=10, 100 trees, depth 10) on a
-# 2-core VM, one fit took ~520 ms one tree at a time, 140-180 ms in blocks of
-# 10 and 125-170 ms in blocks of 20 to 50.  It raised peak RSS by ~1.3, ~1.9,
-# ~3.0 and ~12 MB for blocks of 1, 10, 20 and 100.
+# do.  On one training fold of the README forest config (800 rows, d=10, 100
+# trees, depth 10) on a 2-core VM, one fit took ~450 ms one tree at a time
+# and 160-200 ms in blocks of 10 to 100, no size steadily faster than 10.
+# It raised peak RSS by ~1.8, ~2.9, ~3.4, ~3.9, ~7.4 and ~13.7 MB for
+# blocks of 1, 10, 14, 20, 50 and 100.
 _BLOCK_TREES = 10
 # (tree, row) pairs that predict_forest walks at once, bounding its memory
 _WALK_PAIRS = 1 << 20
@@ -249,13 +255,76 @@ def _dense_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _bootstrap_rows(rngs, n: int) -> tuple:
+    """Each generator's bootstrap, its first ``integers(0, n, size=n)`` draw,
+    as the distinct rows drawn and how often each was drawn.
+
+    Returns ``(tree, rows, weight)``, ordered by tree and then row; the
+    weights are integer multiplicities held as float64.
+    """
+    drawn = np.bincount(
+        np.concatenate([rng.integers(0, n, size=n) + t * n for t, rng in enumerate(rngs)]),
+        minlength=len(rngs) * n,
+    )
+    held = np.flatnonzero(drawn)
+    tree, rows = np.divmod(held, n)
+    return tree, rows, drawn[held].astype(np.float64)
+
+
+def _best_boundaries(
+    key, node, rows, weight, weight_pos, m, m_pos, m_start, pos_start, parent_gini
+):
+    """Each node's best Gini gain over the boundaries between the distinct
+    keys of its rows, and the rows either side of its first best boundary.
+
+    ``key`` orders rows by node and then by value; ``m``/``m_pos`` are each
+    node's weighted row and positive counts, and ``m_start``/``pos_start``
+    their sums over the nodes before it.  Returns ``(nodes, gain, below,
+    above)`` for the nodes that have a boundary.  The scan's row-length
+    temporaries are freed on return, before the next column's are made.
+    """
+    order = np.argsort(key)
+    key = key[order]
+    node = node[order]
+    # the boundaries between distinct values within one node
+    i = np.flatnonzero((node[:-1] == node[1:]) & (key[:-1] != key[1:]))
+    q = node[i]
+    n_left = np.cumsum(weight[order])[i] - m_start[q]
+    n_right = m[q] - n_left
+    pos_left = np.cumsum(weight_pos[order])[i] - pos_start[q]
+    pos_right = m_pos[q] - pos_left
+    p_left = pos_left / n_left
+    p_right = pos_right / n_right
+    child = (
+        n_left * 2.0 * p_left * (1.0 - p_left)
+        + n_right * 2.0 * p_right * (1.0 - p_right)
+    ) / m[q]
+    gain = parent_gini[q] - child
+    # each node's first best boundary
+    first = np.empty(q.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(q[1:], q[:-1], out=first[1:])
+    group = np.flatnonzero(first)
+    group_best = np.maximum.reduceat(gain, group)
+    hit = gain == group_best[np.cumsum(first) - 1]
+    at = np.minimum.reduceat(np.where(hit, i, key.size), group)
+    return q[group], group_best, rows[order[at]], rows[order[at + 1]]
+
+
 def _grow_block(x, y, ranks, rngs, max_depth: int, mtry: int) -> list:
     """Grow one CART tree per generator, all of them one level at a time.
 
-    Each tree trains on n bootstrap rows, the first draw of its generator.
+    Each tree trains on its bootstrap, held as the distinct rows drawn,
+    each weighted by how often it was drawn (:func:`_bootstrap_rows`).
+    Node counts, positive counts and the running sums of each split scan
+    are weighted sums of those integer multiplicities, exact in float64,
+    so every gain, threshold, count and value equals, bit for bit, that
+    of growing all n drawn rows.
+
     Per level, each tree draws the candidate features of its splittable
-    nodes, in level order, with one ``random((k, d)).argsort(1)[:, :mtry]``,
-    so a tree depends only on its generator and the data.  Then, for each
+    nodes, in level order, with one ``random((k, d))``, and the rows of
+    all the trees' draws are argsorted together (``[:, :mtry]``), so a
+    tree depends only on its generator and the data.  Then, for each
     candidate column, one argsort keyed on (node, rank) lays out every
     node's rows in value order, segmented cumsums give the Gini gain at
     every boundary between distinct values, and ``maximum.reduceat`` /
@@ -265,30 +334,35 @@ def _grow_block(x, y, ranks, rngs, max_depth: int, mtry: int) -> list:
     """
     n, d = x.shape
     block = len(rngs)
-    rows = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
-    labels = y[rows]
-    slot = np.repeat(np.arange(block), n)  # each row's node, numbered within the level
+    # slot: each row's node, numbered within the level; tree t's root is t
+    slot, rows, weight = _bootstrap_rows(rngs, n)
+    weight_pos = weight * y[rows]
+    flat_ranks = ranks.ravel()
     tree = np.arange(block)  # each level node's tree; the level is in tree order
     levels = []
     for depth in range(max_depth + 1):
         k = tree.size
-        count = np.bincount(slot, minlength=k)
-        pos = np.bincount(slot, weights=labels, minlength=k)
+        count = np.bincount(slot, weights=weight, minlength=k)
+        pos = np.bincount(slot, weights=weight_pos, minlength=k)
         feature = np.full(k, -1, dtype=np.intp)
         threshold = np.zeros(k)
         active = np.flatnonzero((pos > 0) & (pos < count) & (depth < max_depth))
         if active.size:
-            drawn = np.bincount(tree[active], minlength=block)
+            per_tree = np.bincount(tree[active], minlength=block)
             cand = np.concatenate([
-                rngs[t].random((c, d)).argsort(1)[:, :mtry] for t, c in enumerate(drawn) if c
-            ])
+                rngs[t].random((c, d)) for t, c in enumerate(per_tree) if c
+            ]).argsort(1)[:, :mtry]
             act = np.full(k, -1, dtype=np.intp)
             act[active] = np.arange(active.size)
-            live = act[slot] >= 0
-            a = act[slot[live]]  # each live row's node among the active ones
-            live_rows, live_labels = rows[live], labels[live]
+            a = act[slot]  # each row's node among the active ones, -1 if none
+            live = a >= 0
+            a = a[live]
+            live_rows, live_weight, live_pos = rows[live], weight[live], weight_pos[live]
+            node_key = a * n
+            rank_at = live_rows * d
             m, m_pos = count[active], pos[active]
-            starts = np.cumsum(m) - m
+            m_start = np.cumsum(m) - m
+            pos_start = np.cumsum(m_pos) - m_pos
             p = m_pos / m
             parent_gini = 2.0 * p * (1.0 - p)
             # per (node, candidate): best gain, and the rows either side of it
@@ -296,34 +370,13 @@ def _grow_block(x, y, ranks, rngs, max_depth: int, mtry: int) -> list:
             below = np.zeros((active.size, mtry), dtype=np.intp)
             above = np.zeros((active.size, mtry), dtype=np.intp)
             for c in range(mtry):
-                # each node's rows in the order of its c-th candidate feature
-                key = a * n + ranks[live_rows, cand[a, c]]
-                order = np.argsort(key)
-                key = key[order]
-                node = a[order]
-                # the boundaries between distinct values within one node
-                i = np.flatnonzero((node[:-1] == node[1:]) & (key[:-1] != key[1:]))
-                q = node[i]
-                cum = np.concatenate(([0.0], np.cumsum(live_labels[order])))
-                n_left = (i + 1 - starts[q]).astype(np.float64)
-                n_right = m[q] - n_left
-                pos_left = cum[i + 1] - cum[starts[q]]
-                pos_right = m_pos[q] - pos_left
-                p_left = pos_left / n_left
-                p_right = pos_right / n_right
-                child = (
-                    n_left * 2.0 * p_left * (1.0 - p_left)
-                    + n_right * 2.0 * p_right * (1.0 - p_right)
-                ) / m[q]
-                gain = parent_gini[q] - child
-                # each node's first best boundary; nodes without one keep -inf
-                group = np.flatnonzero(np.diff(q, prepend=-1))
-                group_best = np.maximum.reduceat(gain, group)
-                hit = gain == np.repeat(group_best, np.diff(group, append=q.size))
-                at = np.minimum.reduceat(np.where(hit, i, key.size), group)
-                best[q[group], c] = group_best
-                below[q[group], c] = live_rows[order[at]]
-                above[q[group], c] = live_rows[order[at + 1]]
+                # each row's node, then its rank in the node's c-th candidate feature
+                key = node_key + flat_ranks[rank_at + cand[:, c][a]]
+                q, gain, lo, hi = _best_boundaries(
+                    key, a, live_rows, live_weight, live_pos,
+                    m, m_pos, m_start, pos_start, parent_gini,
+                )
+                best[q, c], below[q, c], above[q, c] = gain, lo, hi  # others keep -inf
             choice = best.argmax(axis=1)  # earlier-drawn candidates win ties
             split = np.flatnonzero(best[np.arange(active.size), choice] > _MIN_GINI_GAIN)
             f = cand[split, choice[split]]
@@ -335,10 +388,10 @@ def _grow_block(x, y, ranks, rngs, max_depth: int, mtry: int) -> list:
         first_child = np.full(k, -1, dtype=np.intp)
         first_child[inner] = 2 * np.arange(int(inner.sum()))
         value = np.where(inner, 0.0, pos / count)
-        levels.append((tree, feature, threshold, first_child, value, count))
+        levels.append((tree, feature, threshold, first_child, value, count.astype(np.intp)))
         # rows of split nodes move to the next level, left child first
         keep = inner[slot]
-        rows, labels, slot = rows[keep], labels[keep], slot[keep]
+        rows, weight, weight_pos, slot = rows[keep], weight[keep], weight_pos[keep], slot[keep]
         slot = first_child[slot] + (x[rows, feature[slot]] > threshold[slot])
         tree = np.repeat(tree[inner], 2)
         if not tree.size:
@@ -400,7 +453,8 @@ def fit_forest(
 
 
 def predict_forest(model: ForestModel, features):
-    """Mean of the trees' leaf positive-fractions, in [0, 1].
+    """Mean of the trees' leaf positive-fractions, in [0, 1]; NaN for a row
+    with any NaN feature, as :func:`predict_logistic` gives.
 
     Accepts one length-d vector (returns a float) or an (n, d) matrix
     (returns a length-n vector).  All trees are walked together, one level
@@ -429,6 +483,7 @@ def predict_forest(model: ForestModel, features):
             todo = todo[feature[node[todo]] >= 0]
         total[lo:lo + step] = np.add.reduce(value[node].reshape(len(trees), -1), axis=0)
     p = total / model.tree_count
+    p[np.isnan(x).any(axis=1)] = np.nan  # NaN compares false and would walk right
     return float(p[0]) if single else p
 
 

@@ -4,9 +4,11 @@ pipeline.  Each test prints one ``[criterion NN] name: PASS|FAIL`` line
 (run with ``pytest tests/test_acceptance.py -v -s`` for the scorecard)
 before asserting, so a failing criterion still reports its verdict."""
 
+import hashlib
 import time
 
 import numpy as np
+import pytest
 
 from oracles import brute_force_isotonic
 
@@ -26,6 +28,7 @@ from calibench.harness import (
     run_convergence_study,
     run_enhanced_calibration,
     run_repeated_cv,
+    save_results,
 )
 from calibench.metrics import auc, metric_report
 from calibench.stats import bonferroni, paired_t_test, shapiro_wilk
@@ -197,11 +200,18 @@ def test_criterion_05_logreg_benchmark_reproduction():
     _verdict(5, "logreg-benchmark-reproduction", failures)
 
 
-def test_criterion_06_forest_benchmark_direction():
-    failures = []
+@pytest.fixture(scope="module")
+def forest_benchmark():
+    """The README forest benchmark, run once for criterion 06 and the pin:
+    its result table and the seconds the run took."""
     start = time.perf_counter()
     table = _benchmark_table(ForestSpec(trees=100, depth=10), "full")
-    elapsed = time.perf_counter() - start
+    return table, time.perf_counter() - start
+
+
+def test_criterion_06_forest_benchmark_direction(forest_benchmark):
+    failures = []
+    table, elapsed = forest_benchmark
     uncal = _mean_ece(table, "uncalibrated")
     iso = _mean_ece(table, "isotonic")
     if not uncal > 0.10:
@@ -224,6 +234,16 @@ def test_criterion_06_forest_benchmark_direction():
     if elapsed >= 600.0:
         failures.append(f"took {elapsed:.1f}s, limit 600s")
     _verdict(6, "forest-benchmark-direction", failures)
+
+
+def test_readme_forest_benchmark_results_are_pinned(forest_benchmark, tmp_path):
+    # the twin of the README logreg pin: the sha256 of the forest results
+    # file is the byte-identity gate for changes to the grower
+    out = tmp_path / "results.json"
+    save_results(forest_benchmark[0], str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0e9bd265725f5c70a6927f44ca2a27816136a847f01435b2e35df9dbcba34360"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ import copy
 import json
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calibench import (
     Dataset,
@@ -28,7 +31,7 @@ from calibench import (
 )
 from calibench import errors
 from calibench.errors import DimensionMismatchError, NotConvergedError, SingleClassError
-from calibench.models import LogisticModel
+from calibench.models import _BLOCK_TREES, LogisticModel
 
 from oracles import slow_forest_tree
 
@@ -278,6 +281,65 @@ def test_forest_matches_the_node_by_node_oracle_bit_for_bit():
                 assert getattr(tree, name).tolist() == [node[name] for node in expected], (t, name)
 
 
+@st.composite
+def _tied_forest_inputs(draw):
+    """Small data sets full of ties: each column holds 1-3 distinct values
+    or up to 40 arbitrary floats, rows repeat (their labels free to
+    differ), and the labels may all be of one class."""
+    d = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(d):
+        pool = draw(st.one_of(
+            st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.5]),
+                     min_size=1, max_size=3, unique=True),
+            st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
+        ))
+        columns.append(pool)
+    base = draw(st.integers(1, 40))
+    distinct = np.array([[draw(st.sampled_from(pool)) for pool in columns] for _ in range(base)])
+    picks = draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=40))
+    features = distinct[picks]
+    kind = draw(st.sampled_from(["mixed", "zeros", "ones"]))
+    if kind == "mixed":
+        labels = draw(st.lists(st.integers(0, 1), min_size=len(picks), max_size=len(picks)))
+    else:
+        labels = [int(kind == "ones")] * len(picks)
+    return features, labels, draw(st.integers(1, 7)), draw(st.integers(1, 2 * _BLOCK_TREES + 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tied_forest_inputs(), st.integers(0, 2**32 - 1))
+def test_forest_matches_the_oracle_on_tied_and_repeated_rows(inputs, seed):
+    # every drawn row carries a multiplicity, and equal values leave no
+    # boundary between them; the node-by-node oracle grows every drawn row
+    features, labels, depth, tree_count = inputs
+    data = _dataset(features, labels)
+    model = fit_forest(data, tree_count=tree_count, max_depth=depth, seed=seed)
+    mtry = max(1, math.isqrt(data.d))
+    for t, tree in enumerate(model.trees):
+        expected = slow_forest_tree(
+            data.features, data.labels, depth, mtry, np.random.default_rng([seed, t])
+        )
+        for name in ("feature", "threshold", "left", "right", "value", "count"):
+            assert getattr(tree, name).tolist() == [node[name] for node in expected], (t, name)
+
+
+def test_forest_fit_memory_peak_is_bounded():
+    # tracemalloc peak of one README-size fit, trees included, on a 2-core
+    # x86-64 VM (Python 3.11.7, NumPy 2.4.6): 1.493e6 bytes when every
+    # drawn bootstrap row was grown, 1.367e6 with distinct rows and their
+    # multiplicities, 1.65e6 with blocks of 14 trees.  The bound is the
+    # first figure rounded up to 0.1 MB.
+    data = generate_synthetic(SyntheticConfig(600, 10, 42))
+    tracemalloc.start()
+    try:
+        fit_forest(data, tree_count=100, max_depth=10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
 def test_forest_trees_do_not_depend_on_the_block():
     data = generate_synthetic(SyntheticConfig(200, 6, 8))
     fields = ("feature", "threshold", "left", "right", "value", "count")
@@ -340,6 +402,22 @@ def test_predict_forest_equals_the_running_sum_oracle():
     assert all(tree.left[0] == 1 for tree in loaded.trees)  # pre-order: root, then its left child
     np.testing.assert_array_equal(_running_sum_predict(loaded, probe), expected)
     np.testing.assert_array_equal(predict_forest(loaded, probe), expected)
+
+
+def test_models_send_a_nan_feature_to_nan():
+    data = generate_synthetic(SyntheticConfig(200, 3, 4))
+    forest = fit_forest(data, tree_count=20, max_depth=6, seed=1)
+    logistic = fit_logistic(data)
+    probe = np.random.default_rng(5).random((6, 3))
+    finite = predict_forest(forest, probe)
+    holes = probe.copy()
+    holes[[1, 3, 4], [0, 2, 1]] = np.nan
+    holes[4, 0] = np.nan
+    for predict, model in ((predict_forest, forest), (predict_logistic, logistic)):
+        got = predict(model, holes)
+        np.testing.assert_array_equal(np.isnan(got), [False, True, False, True, True, False])
+        assert math.isnan(predict(model, [np.nan, 0.5, 0.5]))
+    np.testing.assert_array_equal(predict_forest(forest, holes)[[0, 2, 5]], finite[[0, 2, 5]])
 
 
 def test_forest_validation():
