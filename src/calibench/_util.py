@@ -68,12 +68,10 @@ def readonly(arr: np.ndarray) -> np.ndarray:
 def sigmoid(z):
     """Numerically stable logistic function, elementwise."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1 + exp(-z)) for z >= 0 and exp(z)/(1 + exp(z)) below: e is
+    # exp(-|z|), which never overflows, and min(z, -z) keeps a NaN's sign
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def damped_newton(name: str, params: np.ndarray, newton, objective, tol: float, max_iter: int):

@@ -12,9 +12,13 @@ function with at most one step per distinct training score — via the pool
 adjacent violators (PAV) algorithm.  Tied scores are pooled to their label
 mean before PAV so the result is a well-defined function of the score.
 The PAV core is linear in n after sorting: vectorized passes pool maximal
-strictly-decreasing runs while they remove at least 5% of the blocks
-(any order of adjacent-violator merges reaches the same unique fixpoint),
-and a sequential stack finishes the stragglers.
+non-increasing runs while they remove at least 5% of the blocks (any order
+of merges of adjacent blocks whose values do not increase reaches the same
+unique fixpoint), and a sequential stack finishes the stragglers.  On 0/1
+labels the passes alone reach the fixpoint: pooling equal neighbours too
+collapses the plateaus of equal block means that tied labels leave.
+Application looks a score up among the starts of the map's constant levels
+only, not among all its knots.
 """
 
 from __future__ import annotations
@@ -247,16 +251,24 @@ def _pav_stack(values: np.ndarray, weights: np.ndarray, starts: np.ndarray):
 def _pav_block_starts(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Start indices (into the input) of the PAV solution blocks.
 
-    Vectorized passes pool every maximal strictly-decreasing run at once —
-    each pass is a batch of valid adjacent-violator merges, and PAV merges
-    are order-independent — while a pass removes at least 5% of the blocks;
-    a sequential stack finishes when passes stall.  Total work is O(n).
+    Vectorized passes pool every maximal non-increasing run at once, the
+    merge rule of :func:`_pav_stack`, while a pass removes at least 5% of
+    the blocks; a sequential stack finishes when passes stall.  Total work
+    is O(n).  Each pass is a batch of valid merges, and valid merges reach
+    the same fixpoint in any order.  Pooling equal neighbours is valid: in
+    the solution, a block's last input value is at most the block's fitted
+    value and its first input value at least it, so where an input value
+    does not rise to its right neighbour's, the two lie in one block.
+    Without it, the plateaus of equal means that 0/1 labels leave stall the
+    passes (on 200k Bernoulli(s^2) labels, 18 passes left ~49k blocks to the
+    stack); with it, 13 passes reach the ~140 final blocks.  The returned
+    blocks have strictly increasing values.
     """
     v = np.asarray(values, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     starts = np.arange(v.size, dtype=np.intp)
     while v.size > 1:
-        viol = v[:-1] > v[1:]
+        viol = v[:-1] >= v[1:]
         n_viol = int(np.count_nonzero(viol))
         if n_viol == 0:
             break
@@ -271,13 +283,15 @@ def _pav_block_starts(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         w = np.add.reduceat(w, sel)
         v = vw / w
         starts = starts[sel]
-    if v.size > 1:
-        # minimal representation: fuse runs of equal fitted values
-        keep = np.empty(v.size, dtype=bool)
-        keep[0] = True
-        np.greater(v[1:], v[:-1], out=keep[1:])
-        starts = starts[keep]
     return starts
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Indices at which a run of equal values in ``a`` (non-empty) starts."""
+    new = np.empty(a.size, dtype=bool)
+    new[0] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def fit_isotonic(data: ScoreSet) -> IsotonicMap:
@@ -287,18 +301,16 @@ def fit_isotonic(data: ScoreSet) -> IsotonicMap:
     Ties are pooled to their label mean first, and each output block's value
     equals the exact mean of the labels it pools (computed from raw label
     sums, so the block-mean identity holds to the last bit for 0/1 labels).
+    The sort need not be stable: tied scores pool into one knot, and the
+    sum of its 0/1 labels is an exact integer in any order.
     """
     if data.n < 1:
         raise ValueError("isotonic regression needs at least one sample")
-    order = np.argsort(data.scores, kind="mergesort")
+    order = np.argsort(data.scores)
     s_sorted = data.scores[order]
     y_sorted = data.labels[order].astype(np.float64)
 
-    # pool exact ties: one knot per distinct score
-    is_new = np.empty(s_sorted.size, dtype=bool)
-    is_new[0] = True
-    np.not_equal(s_sorted[1:], s_sorted[:-1], out=is_new[1:])
-    knot_starts = np.flatnonzero(is_new)
+    knot_starts = _run_starts(s_sorted)  # pool exact ties: one knot per distinct score
     knots = s_sorted[knot_starts]
     counts = np.diff(np.append(knot_starts, s_sorted.size)).astype(np.float64)
     label_sums = np.add.reduceat(y_sorted, knot_starts)
@@ -348,9 +360,13 @@ def apply_map(calibration_map, score):
     if isinstance(calibration_map, PlattMap):
         out = sigmoid(calibration_map.A * s + calibration_map.B)
     elif isinstance(calibration_map, IsotonicMap):
-        idx = np.searchsorted(calibration_map.knots, s, side="right") - 1
-        np.clip(idx, 0, calibration_map.knots.size - 1, out=idx)
-        out = calibration_map.values[idx]
+        # the value at the largest knot <= s is the value at the largest
+        # start of a run of equal values <= s
+        values = calibration_map.values
+        level = _run_starts(values)
+        idx = np.searchsorted(calibration_map.knots[level], s, side="right") - 1
+        np.maximum(idx, 0, out=idx)
+        out = values[level[idx]]
         out[np.isnan(s)] = np.nan
     elif isinstance(calibration_map, IdentityMap):
         out = np.clip(s, 0.0, 1.0)

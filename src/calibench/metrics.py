@@ -215,11 +215,36 @@ def auc(scores, labels) -> float:
     y = as_binary_labels(labels)
     if s.size != y.size:
         raise LengthMismatchError(f"scores and labels differ in length: {s.size} vs {y.size}")
-    return _auc(s, y, np.argsort(s, kind="mergesort"))
+    return _auc(s, y, _stable_order(s))
+
+
+def _stable_order(p) -> np.ndarray:
+    """``p``'s stable argsort, as ``argsort(kind="mergesort")`` gives it.
+
+    The default argsort already is that permutation when sorted ``p`` has
+    no two equal neighbours.  Otherwise the stable argsort of the dense
+    ranks from that sort is; with at most 65,536 levels the ranks are
+    ``uint16``, which NumPy radix-sorts faster than it merge-sorts floats.
+    NaNs sort last and tie with each other, as they do in a merge sort.
+    """
+    order = np.argsort(p)
+    sorted_p = p[order]
+    rises = sorted_p[1:] != sorted_p[:-1]
+    if p.size and np.isnan(sorted_p[-1]):
+        rises[np.flatnonzero(np.isnan(sorted_p))[0]:] = False
+    if rises.all():
+        return order
+    levels = int(np.count_nonzero(rises)) + 1
+    ranks = np.empty(p.size, dtype=np.uint16 if levels <= 1 << 16 else np.intp)
+    ranks[order[0]] = 0
+    ranks[order[1:]] = np.cumsum(rises)
+    return np.argsort(ranks, kind="stable")
 
 
 def _auc(s, y, order) -> float:
-    """AUC of validated pairs; ``order`` is ``s``'s stable argsort."""
+    """AUC of validated pairs; ``order`` sorts ``s``.  Tied finite scores
+    share a mid-rank, so any sorting order gives the same AUC for them;
+    NaNs each take their own rank, by their place in ``order``."""
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -247,11 +272,12 @@ def hosmer_lemeshow(probs, labels, groups: int = 10):
     Returns ``(statistic, p_value)``.
     """
     p, y = _validate_pairs(probs, labels)
-    return _hosmer_lemeshow(p, y, groups, np.argsort(p, kind="mergesort"))
+    return _hosmer_lemeshow(p, y, groups, _stable_order(p))
 
 
 def _hosmer_lemeshow(p, y, groups: int, order):
-    """Hosmer-Lemeshow of validated pairs; ``order`` is ``p``'s stable argsort."""
+    """Hosmer-Lemeshow of validated pairs; ``order`` is ``p``'s stable
+    argsort, which decides the group of each tied probability."""
     if groups < 3 or p.size < groups:
         raise TooFewGroupsError(f"need n >= groups >= 3, got n={p.size}, groups={groups}")
     cells = []  # (observed positives, expected positives, count)
@@ -301,7 +327,7 @@ def metric_report(probs, labels, bins: int = 10, hl_groups: int = 10) -> MetricR
     p, y = _validate_pairs(probs, labels)
     bin_stats = _reliability_bins(p, y, bins)
     e = bin_stats.ece()
-    order = np.argsort(p, kind="mergesort")  # shared by Hosmer-Lemeshow and AUC
+    order = _stable_order(p)  # Hosmer-Lemeshow needs it stable, AUC any sort
     try:
         hl_stat, hl_p = _hosmer_lemeshow(p, y, hl_groups, order)
     except (TooFewGroupsError, DegenerateGroupingError):

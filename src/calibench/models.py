@@ -528,6 +528,7 @@ def _check_forest(model: ForestModel) -> None:
 
     Each child's index exceeds its parent's, so every walk ends; any
     numbering with that property loads, breadth-first or depth-first.
+    Thresholds are finite (a leaf's is 0.0) and counts non-negative.
     """
     if not model.trees:
         raise MalformedModelError("a forest needs at least one tree")
@@ -556,3 +557,8 @@ def _check_forest(model: ForestModel) -> None:
         leaf_value = tree.value[~split]
         if not ((leaf_value >= 0.0) & (leaf_value <= 1.0)).all():
             raise MalformedModelError(f"tree {index}: a leaf's value must lie in [0, 1]")
+        # NaN compares false, so a NaN threshold would send every row right
+        if not np.isfinite(tree.threshold).all():
+            raise MalformedModelError(f"tree {index}: every threshold must be finite")
+        if (tree.count < 0).any():
+            raise MalformedModelError(f"tree {index}: a node's count must be >= 0")

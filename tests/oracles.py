@@ -126,6 +126,91 @@ def slow_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def slow_metric_report(probs, labels, bins=10, hl_groups=10):
+    """:func:`calibench.metric_report` on the stable order
+    ``argsort(kind="mergesort")``, which defines the Hosmer-Lemeshow groups.
+
+    The binned and pointwise fields come from the public metrics; AUC is
+    built from mid-ranks over that order and Hosmer-Lemeshow from its
+    groups, with the package's arithmetic, so a report built on the same
+    order matches this one bit for bit.
+    """
+    from calibench import brier, ece, log_loss, mce
+    from calibench.errors import SingleClassError
+    from calibench.metrics import MetricReport
+    from calibench.stats import chi2_cdf
+
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    order = np.argsort(p, kind="mergesort")
+
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise SingleClassError("AUC needs at least one positive and one negative label")
+    sorted_p = p[order]
+    ranks = np.empty(p.size)
+    start = 0
+    for end in range(1, p.size + 1):
+        if end == p.size or sorted_p[end] != sorted_p[start]:
+            ranks[order[start:end]] = 0.5 * (start + end + 1)
+            start = end
+    auc = (float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+    hl_stat = hl_p = math.nan
+    if 3 <= hl_groups <= p.size:
+        cells = [
+            [float(y[chunk].sum()), float(p[chunk].sum()), len(chunk)]
+            for chunk in np.array_split(order, hl_groups)
+        ]
+        merged, carry = [], None
+        for cell in cells:
+            if carry is not None:
+                cell = [a + b for a, b in zip(cell, carry)]
+                carry = None
+            if cell[1] < 1e-9 or cell[2] - cell[1] < 1e-9:
+                carry = cell
+            else:
+                merged.append(cell)
+        if carry is not None:
+            if merged:
+                carry = [a + b for a, b in zip(merged.pop(), carry)]
+            merged.append(carry)
+        if len(merged) >= 3:
+            hl_stat = 0.0
+            for o1, e1, cnt in merged:
+                hl_stat += (o1 - e1) ** 2 / e1 + ((cnt - o1) - (cnt - e1)) ** 2 / (cnt - e1)
+            hl_p = 1.0 - chi2_cdf(hl_stat, len(merged) - 2)
+
+    e = ece(p, y, bins)
+    return MetricReport(
+        ece=e, mce=mce(p, y, bins), brier=brier(p, y), log_loss=log_loss(p, y), auc=auc,
+        reliability=1.0 - e, hl_statistic=hl_stat, hl_p_value=hl_p, n=p.size, bin_count=bins,
+    )
+
+
+def masked_sigmoid(z):
+    """The logistic function through boolean masks: ``1/(1 + exp(-z))``
+    where ``z >= 0`` and ``exp(z)/(1 + exp(z))`` elsewhere (NaN included)."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def full_knot_isotonic_lookup(knots, values, scores):
+    """An isotonic map's value at the largest knot <= each score, found
+    among all knots; the first value below the first knot, NaN for NaN."""
+    s = np.asarray(scores, dtype=np.float64)
+    idx = np.clip(np.searchsorted(knots, s, side="right") - 1, 0, knots.size - 1)
+    out = np.asarray(values, dtype=np.float64)[idx]
+    out[np.isnan(s)] = np.nan
+    return out
+
+
 def per_draw_bootstrap(probs, labels, metric, bins, level, draws, seed):
     """The percentile bootstrap by its definition: per draw, one
     ``rng.integers(0, n, size=n)`` call and one call of the public metric on

@@ -21,6 +21,8 @@ from calibench import (
     map_from_json,
     map_to_json,
 )
+from calibench import calibrators
+from calibench._util import sigmoid
 from calibench.calibrators import _pav_block_starts, _pav_stack
 from calibench.errors import (
     CalibrationWarning,
@@ -29,7 +31,7 @@ from calibench.errors import (
     NotConvergedError,
 )
 
-from oracles import brute_force_isotonic
+from oracles import brute_force_isotonic, full_knot_isotonic_lookup, masked_sigmoid
 
 
 def _fitted_values_per_sample(iso: IsotonicMap, scores) -> np.ndarray:
@@ -134,6 +136,93 @@ def test_pav_hybrid_equals_pure_stack():
         got = _pav_block_starts(values, weights)
         _, _, want = _pav_stack(values, weights, np.arange(values.size, dtype=np.intp))
         np.testing.assert_array_equal(got, want)
+
+
+def _bernoulli_labels(rng, n):
+    """0/1 labels drawn as Bernoulli(s^2) at sorted uniform scores s: long
+    plateaus of equal labels, and of equal means once tied scores pool."""
+    return (rng.random(n) < np.sort(rng.random(n)) ** 2).astype(np.float64)
+
+
+def test_pav_passes_equal_the_stack_on_bernoulli_plateaus():
+    rng = np.random.default_rng(14)
+    labels = _bernoulli_labels(rng, 20_000)
+    weights = rng.integers(1, 4, size=labels.size).astype(float)
+    # label sums of tied scores, one knot each: plateaus of equal means
+    pooled = rng.binomial(weights.astype(np.int64), np.sort(rng.random(labels.size)) ** 2)
+    for values in (labels, pooled / weights):
+        got = _pav_block_starts(values, weights)
+        _, _, want = _pav_stack(values, weights, np.arange(values.size, dtype=np.intp))
+        np.testing.assert_array_equal(got, want)
+
+
+def test_isotonic_matches_brute_force_oracle_on_0_1_plateaus():
+    rng = np.random.default_rng(1414)
+    for _ in range(150):
+        n = int(rng.integers(1, 13))
+        scores = np.sort(rng.integers(0, 12, size=n)).astype(float)  # tied knots
+        labels = _bernoulli_labels(rng, n).astype(np.int64)
+        fit = fit_isotonic(ScoreSet(scores, labels))
+        knots, want = brute_force_isotonic(scores, labels)
+        np.testing.assert_array_equal(fit.knots, knots)
+        np.testing.assert_array_equal(fit.values, want)  # exact: integer sums / counts
+
+
+def test_large_bernoulli_isotonic_fit_needs_no_stack(monkeypatch):
+    def stack(*args):
+        raise AssertionError("the vectorized passes stalled")
+
+    monkeypatch.setattr(calibrators, "_pav_stack", stack)
+    rng = np.random.default_rng(3)
+    scores = rng.random(200_000)
+    labels = (rng.random(scores.size) < scores**2).astype(np.int64)
+    fit = fit_isotonic(ScoreSet(scores, labels))
+    assert np.all(np.diff(fit.values) >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# same bits as the masked sigmoid and the full-knot isotonic lookup
+# ---------------------------------------------------------------------------
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_sigmoid_equals_the_masked_sigmoid_bit_for_bit():
+    rng = np.random.default_rng(68)
+    for scale in np.logspace(-3, 3, 13):
+        for n in (1, 40, 10_000):
+            z = rng.standard_normal(n) * scale
+            _assert_same_bits(sigmoid(z), masked_sigmoid(z))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 1e308, -1e308])
+    _assert_same_bits(sigmoid(special), masked_sigmoid(special))
+
+
+def _lookup_cases():
+    rng = np.random.default_rng(69)
+    yield np.array([0.5]), np.array([0.25])                       # one knot
+    yield np.arange(5.0), np.full(5, 0.4)                         # all values equal
+    yield np.arange(6.0), np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.0])
+    knots = np.sort(rng.choice(np.linspace(-1.0, 2.0, 4001), 300, replace=False))
+    yield knots, np.sort(rng.integers(0, 8, size=300)) / 7.0      # long plateaus
+    yield knots, np.sort(rng.random(300))                         # every value distinct
+
+
+def test_isotonic_lookup_equals_the_full_knot_search():
+    rng = np.random.default_rng(70)
+    for knots, values in _lookup_cases():
+        iso = IsotonicMap(knots=knots, values=values)
+        gaps = (knots[:-1] + knots[1:]) / 2.0
+        queries = np.concatenate([
+            knots, gaps, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+            [knots[0] - 1.0, knots[-1] + 1.0, -np.inf, np.inf, np.nan],
+            rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, size=500),
+        ])
+        _assert_same_bits(apply_map(iso, queries), full_knot_isotonic_lookup(knots, values, queries))
+        for q in queries[:20]:
+            want = full_knot_isotonic_lookup(knots, values, [q])[0]
+            assert apply_map(iso, float(q)) == want or math.isnan(want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Metric correctness: hand-checked values, brute-force oracle equivalence,
 and cross-checks against scipy (test-only dependency)."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calibench import (
     BinStats,
@@ -22,10 +25,12 @@ from calibench.errors import (
     DegenerateGroupingError,
     LengthMismatchError,
     ProbabilityOutOfRangeError,
+    SingleClassError,
     TooFewGroupsError,
 )
+from calibench.metrics import _stable_order
 
-from oracles import slow_auc, slow_ece, slow_mce, slow_reliability
+from oracles import slow_auc, slow_ece, slow_mce, slow_metric_report, slow_reliability
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +236,76 @@ def test_metric_report_degrades_hl_to_nan():
     assert math.isnan(report.hl_statistic)
     assert math.isnan(report.hl_p_value)
     assert report.ece >= 0.0
+
+
+def _assert_same_report(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a == b or (math.isnan(a) and math.isnan(b)), (field.name, a, b)
+
+
+def _report_or_error(report, probs, labels, hl_groups):
+    try:
+        return report(probs, labels, hl_groups=hl_groups)
+    except SingleClassError:
+        return SingleClassError
+
+
+_probability = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _report_inputs(draw):
+    kind = draw(st.sampled_from(["distinct", "tied levels", "constant", "n below hl_groups"]))
+    hl_groups = draw(st.integers(3, 12))
+    if kind == "n below hl_groups":
+        n = draw(st.integers(1, hl_groups - 1))
+    else:
+        n = draw(st.integers(2, 300))
+    if kind == "distinct":
+        probs = draw(st.lists(_probability, min_size=n, max_size=n, unique=True))
+    elif kind == "constant":
+        probs = [draw(_probability)] * n
+    else:
+        levels = draw(st.lists(_probability, min_size=1, max_size=6, unique=True))
+        probs = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return np.array(probs), np.array(labels), hl_groups
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_report_inputs())
+def test_metric_report_matches_the_merge_sort_oracle(inputs):
+    probs, labels, hl_groups = inputs
+    got = _report_or_error(metric_report, probs, labels, hl_groups)
+    want = _report_or_error(slow_metric_report, probs, labels, hl_groups)
+    if want is SingleClassError:
+        assert got is SingleClassError
+    else:
+        _assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("levels", [65_536, 65_537, 100_000])
+def test_metric_report_matches_the_merge_sort_oracle_on_many_tied_levels(levels):
+    # 65,536 levels is the most that the uint16 ranks hold
+    rng = np.random.default_rng(levels)
+    probs = rng.permutation(np.arange(150_000) % levels) / levels
+    labels = (rng.random(probs.size) < probs).astype(np.int64)
+    assert np.unique(probs).size == levels
+    np.testing.assert_array_equal(_stable_order(probs), np.argsort(probs, kind="mergesort"))
+    _assert_same_report(metric_report(probs, labels), slow_metric_report(probs, labels))
+
+
+def test_stable_order_keeps_nans_in_input_order():
+    # auc accepts NaN scores; each takes its own rank by its sorted place
+    rng = np.random.default_rng(71)
+    distinct = rng.random(2000)
+    distinct[rng.random(distinct.size) < 0.3] = np.nan
+    tied = distinct.copy()
+    tied[:10] = 0.5
+    small = np.array([np.nan, 2.0, np.nan, 0.0, -0.0, 2.0, np.inf, np.nan])
+    for scores in (distinct, tied, small):
+        np.testing.assert_array_equal(_stable_order(scores), np.argsort(scores, kind="mergesort"))
 
 
 # ---------------------------------------------------------------------------

@@ -535,12 +535,27 @@ def _set(field, index, value):
     (_set("value", 1, float("nan")), r"\[0, 1\]"),
     (_set("left", 0, 1.7), r"forest\.trees\[0\]\.left\[0\] must be an integer, got 1\.7"),
     (_set("count", 0, 10**30), r"forest\.trees\[0\]\.count holds a number out of range"),
+    (_set("threshold", 0, float("nan")), "threshold must be finite"),  # every row walks right
+    (_set("threshold", 0, float("-inf")), "threshold must be finite"),
+    (_set("threshold", 1, float("nan")), "threshold must be finite"),  # a leaf's too
+    (_set("count", 1, -1), "count must be >= 0"),
 ])
 def test_model_from_json_rejects_a_malformed_tree(edit, message):
     payload = _stump()
     edit(payload["forest"]["trees"][0])
     with _within(5), pytest.raises(errors.MalformedModelError, match=message):
         predict_forest(model_from_json(payload), [[0.2, 0.0], [0.8, 0.0]])
+
+
+def test_model_from_json_rejects_nan_thresholds_from_a_fitted_forest():
+    # json reads a NaN literal as a float; such a forest scored every row
+    # by walking right at each split
+    model = fit_forest(generate_synthetic(SyntheticConfig(100, 3, 1)), 5, 3, seed=0)
+    payload = json.loads(json.dumps(model_to_json(model)))
+    thresholds = payload["forest"]["trees"][0]["threshold"]
+    thresholds[:] = [float("nan")] * len(thresholds)
+    with pytest.raises(errors.MalformedModelError, match="tree 0: every threshold must be finite"):
+        model_from_json(json.loads(json.dumps(payload)))
 
 
 def _logistic():
