@@ -83,6 +83,11 @@ class ScoreSet:
         object.__setattr__(self, "scores", readonly(s))
         object.__setattr__(self, "labels", readonly(y))
 
+    def __reduce__(self):
+        # unpickle through the constructor, which checks the vectors again
+        # and makes them read-only
+        return ScoreSet, (self.scores, self.labels)
+
     @property
     def n(self) -> int:
         return self.scores.size

@@ -21,6 +21,7 @@ __all__ = [
     "DegenerateLabelsError",
     "LengthMismatchError",
     "ProbabilityOutOfRangeError",
+    "NonFiniteScoreError",
     "SingleClassError",
     "TooFewGroupsError",
     "DegenerateGroupingError",
@@ -98,6 +99,10 @@ class LengthMismatchError(CalibenchError):
 
 class ProbabilityOutOfRangeError(CalibenchError):
     """A probability lies outside [0, 1] or is not finite."""
+
+
+class NonFiniteScoreError(CalibenchError):
+    """A score to be ranked is NaN or infinite."""
 
 
 class SingleClassError(CalibenchError):

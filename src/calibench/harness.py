@@ -18,6 +18,21 @@ portion — calibration data is disjoint from both model training and
 evaluation by construction (checked at runtime in debug mode).  Each run's
 seed derives from (base_seed, repeat, fold) through a splitmix64 chain, so
 results are independent of execution order.
+
+That independence lets a forest benchmark fit its cells on every usable
+CPU.  When the model is a forest, the process may run on at least two
+CPUs (``os.sched_getaffinity``) and the platform offers the ``fork`` start
+method, each cell's model fit and scoring runs in a pool of
+``min(CPUs, cells)`` forked workers (a run has at least two cells, since
+``folds >= 2``), and the results come back in cell order.  Calibration, metrics, aggregation and
+statistics stay in the calling process, which calibrates one cell while
+the workers fit the next; the results file is byte-identical to a serial
+run's.  Any other run fits its cells in the calling process.  There is no
+setting for this: ``taskset -c 0 calibench benchmark ...`` pins a run to
+one CPU and so to the serial path.  Forest fits take ~95 % of a forest
+run, and ``fork`` hands the workers the dataset and fold plan without
+copying or pickling them; ``multiprocessing`` is imported only when a
+pool is made, so no other run pays for the import.
 """
 
 from __future__ import annotations
@@ -437,15 +452,57 @@ def _materialize_dataset(config: ExperimentConfig) -> Dataset:
     return select_features(data, list(config.feature_mode))
 
 
+# (config, dataset, fold assignments) of the run whose cells are being
+# fit; set before a pool forks, so that its workers inherit it
+_RUN = None
+
+
+def _cell(index: int):
+    """``(cal ScoreSet, test ScoreSet)`` of cell ``index`` of ``_RUN``: fit
+    the base model on the fit part of the fold's training rows, and score
+    the calibration part and the test rows."""
+    config, data, assignments = _RUN
+    cell = assignments[index]
+    if __debug__:
+        overlap = np.intersect1d(cell.train_indices, cell.test_indices)
+        assert overlap.size == 0, "train/test leakage in fold plan"
+    run_seed = mix_seed(config.base_seed, cell.repeat_index, cell.fold_index)
+    train_data = subset(data, cell.train_indices)
+    test_data = subset(data, cell.test_indices)
+    fit_part, cal_part = stratified_split(train_data, 0.75, seed=mix_seed(run_seed, 1))
+    if __debug__:
+        assert fit_part.n + cal_part.n == train_data.n, "fit/cal split must partition train"
+    model = _fit_base_model(config.model, fit_part, seed=mix_seed(run_seed, 2))
+    return score_dataset(model, cal_part), score_dataset(model, test_data)
+
+
+def _fork_pool(config: ExperimentConfig, cells: int):
+    """A pool of forked workers to fit the run's cells, or None to fit them
+    in this process; the conditions are in the module docstring."""
+    if not isinstance(config.model, ForestSpec):
+        return None
+    import os
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2:
+        return None
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork").Pool(min(cpus, cells))
+
+
 def _cells(config: ExperimentConfig):
     """Yield ``(repeat, fold, cal ScoreSet or None, test ScoreSet)`` for
     every CV cell in repeat-major order.
 
     Score files are read as their cell comes up, the test file first; the
     calibration file only when some method needs it.  Each path is parsed
-    once per run, however many entries name it.  An in-repo model is
-    fit per cell on the fit part of the fold's training rows and scores
-    the calibration part and the test rows.
+    once per run, however many entries name it.  An in-repo model's cells
+    are fit by :func:`_cell`, in this process or in a pool of forked
+    workers; closing the generator, or an error from a cell, ends the
+    pool and its workers.
     """
     if isinstance(config.source, ScoreFileSource):
         needs_cal = any(m != "uncalibrated" for m in config.methods)
@@ -462,22 +519,21 @@ def _cells(config: ExperimentConfig):
             repeat, fold = divmod(index, config.folds)
             yield repeat, fold, cal_scores, test_scores
         return
+    global _RUN
     data = _materialize_dataset(config)
-    plan = make_fold_plan(data, config.folds, config.repeats, config.base_seed)
-    for cell in plan.assignments:
-        if __debug__:
-            overlap = np.intersect1d(cell.train_indices, cell.test_indices)
-            assert overlap.size == 0, "train/test leakage in fold plan"
-        run_seed = mix_seed(config.base_seed, cell.repeat_index, cell.fold_index)
-        train_data = subset(data, cell.train_indices)
-        test_data = subset(data, cell.test_indices)
-        fit_part, cal_part = stratified_split(train_data, 0.75, seed=mix_seed(run_seed, 1))
-        if __debug__:
-            assert fit_part.n + cal_part.n == train_data.n, "fit/cal split must partition train"
-        model = _fit_base_model(config.model, fit_part, seed=mix_seed(run_seed, 2))
-        cal_scores = score_dataset(model, cal_part)
-        test_scores = score_dataset(model, test_data)
-        yield cell.repeat_index, cell.fold_index, cal_scores, test_scores
+    assignments = make_fold_plan(data, config.folds, config.repeats, config.base_seed).assignments
+    _RUN = (config, data, assignments)
+    pool = None
+    try:
+        pool = _fork_pool(config, len(assignments))
+        indices = range(len(assignments))
+        fitted = map(_cell, indices) if pool is None else pool.imap(_cell, indices)
+        for cell, (cal_scores, test_scores) in zip(assignments, fitted):
+            yield cell.repeat_index, cell.fold_index, cal_scores, test_scores
+    finally:
+        if pool is not None:
+            pool.terminate()
+        _RUN = None
 
 
 def aggregate_records(records) -> tuple:
@@ -570,14 +626,18 @@ def run_repeated_cv(config: ExperimentConfig) -> ResultTable:
     fixed config.
     """
     records = []
-    for repeat, fold, cal_scores, test_scores in _cells(config):
-        for method in config.methods:
-            cal_map = fit_calibrated_pipeline(cal_scores, method)
-            probs = apply_map(cal_map, test_scores.scores)
-            report = metric_report(probs, test_scores.labels, bins=config.bins)
-            records.append(
-                RunRecord(repeat, fold, config.model.model_name, method, report)
-            )
+    cells = _cells(config)
+    try:
+        for repeat, fold, cal_scores, test_scores in cells:
+            for method in config.methods:
+                cal_map = fit_calibrated_pipeline(cal_scores, method)
+                probs = apply_map(cal_map, test_scores.scores)
+                report = metric_report(probs, test_scores.labels, bins=config.bins)
+                records.append(
+                    RunRecord(repeat, fold, config.model.model_name, method, report)
+                )
+    finally:
+        cells.close()  # ends a worker pool now, not when the generator is collected
     records.sort(key=lambda r: (r.model_name, r.method_name, r.repeat, r.fold))
     records = tuple(records)
     aggregates = aggregate_records(records)

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DegenerateGroupingError,
     LengthMismatchError,
+    NonFiniteScoreError,
     ProbabilityOutOfRangeError,
     SingleClassError,
     TooFewGroupsError,
@@ -209,12 +210,14 @@ def auc(scores, labels) -> float:
     """Rank-based AUC: P(score of random positive > score of random negative).
 
     Ties contribute 1/2 via mid-ranks, so the result is invariant under any
-    strictly increasing transform of the scores.
+    strictly increasing transform of the scores.  Scores must be finite.
     """
     s = as_float_vector(scores, "scores")
     y = as_binary_labels(labels)
     if s.size != y.size:
         raise LengthMismatchError(f"scores and labels differ in length: {s.size} vs {y.size}")
+    if not np.isfinite(s).all():
+        raise NonFiniteScoreError("scores must be finite (no NaN or inf)")
     return _auc(s, y, _stable_order(s))
 
 
@@ -242,9 +245,8 @@ def _stable_order(p) -> np.ndarray:
 
 
 def _auc(s, y, order) -> float:
-    """AUC of validated pairs; ``order`` sorts ``s``.  Tied finite scores
-    share a mid-rank, so any sorting order gives the same AUC for them;
-    NaNs each take their own rank, by their place in ``order``."""
+    """AUC of validated pairs; ``order`` sorts ``s``.  Tied scores share a
+    mid-rank, so any sorting order gives the same AUC."""
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:

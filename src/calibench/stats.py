@@ -224,6 +224,8 @@ def t_cdf(x: float, df) -> float:
     """CDF of Student's t distribution with ``df`` degrees of freedom."""
     df = _check_df(df)
     x = float(x)
+    if math.isnan(x):
+        raise ValueError("x must be a number, got nan")
     if x == 0.0:
         return 0.5
     tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x * x))
@@ -234,7 +236,7 @@ def chi2_cdf(x: float, df) -> float:
     """CDF of the chi-square distribution with ``df`` degrees of freedom."""
     df = _check_df(df)
     x = float(x)
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"chi-square requires x >= 0, got {x}")
     return _reg_lower_gamma(0.5 * df, 0.5 * x)
 
@@ -331,9 +333,16 @@ def bonferroni(p_values, family_alpha: float):
     return threshold, p < threshold
 
 
+def _finite_samples(samples) -> np.ndarray:
+    x = as_float_vector(samples, "samples")
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite (no NaN or inf)")
+    return x
+
+
 def mean_ci(samples, level: float = 0.95) -> IntervalEstimate:
     """t-based confidence interval: mean +/- t_{(1+level)/2, n-1} * sd / sqrt(n)."""
-    x = as_float_vector(samples, "samples")
+    x = _finite_samples(samples)
     if x.size < 2:
         raise TooFewSamplesError("confidence interval needs n >= 2")
     if not 0.0 < level < 1.0:
@@ -389,7 +398,7 @@ def shapiro_wilk(samples) -> NormalityReport:
     Supports 3 <= n <= 5000, the validity range of the polynomial
     approximations for the weights and the p-value transform.
     """
-    x = np.sort(as_float_vector(samples, "samples"))
+    x = np.sort(_finite_samples(samples))
     n = x.size
     if not 3 <= n <= 5000:
         raise SampleSizeOutOfRangeError(f"Shapiro-Wilk supports 3 <= n <= 5000, got {n}")

@@ -3,6 +3,8 @@ repeated-CV protocol, method comparisons, the selection pipeline, the
 convergence study, bootstrap CIs, and results persistence."""
 
 import json
+import multiprocessing
+import os
 import re
 import tracemalloc
 
@@ -22,6 +24,7 @@ from calibench.datasets import (
 from calibench.errors import (
     IncompleteRecordsError,
     InvalidSpecError,
+    NonFiniteScoreError,
     SchemaVersionMismatchError,
     SingleClassError,
     TooFewSamplesError,
@@ -314,6 +317,107 @@ def test_forest_benchmark_runs():
         assert 0.0 <= record.metrics.ece <= 1.0
 
 
+# ---------------------------------------------------------------------------
+# forest cells fit by a pool of forked workers
+# ---------------------------------------------------------------------------
+
+def forest_config():
+    return small_config(source=SyntheticConfig(n=300, d=4, seed=5), model=ForestSpec(trees=10, depth=4))
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make ``harness`` see ``cpus`` as the CPUs this process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The pools ``_cells`` makes, one entry (None: serial) per run."""
+    made = []
+    real = harness._fork_pool
+
+    def spy(config, cells):
+        made.append(real(config, cells))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "_fork_pool", spy)
+    return made
+
+
+def test_pooled_forest_results_are_byte_identical_to_serial(tmp_path, monkeypatch, pools):
+    results = []
+    for cpus in ({0}, {0, 1}):
+        use_cpus(monkeypatch, cpus)
+        path = tmp_path / f"cpus-{len(cpus)}.json"
+        save_results(run_repeated_cv(forest_config()), str(path))
+        results.append(path.read_bytes())
+    assert pools[0] is None and pools[1] is not None
+    assert results[0] == results[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_only_a_forest_run_with_two_cpus_and_fork_gets_a_pool(monkeypatch):
+    use_cpus(monkeypatch, {0, 1, 2, 3})
+    assert harness._fork_pool(small_config(), 6) is None  # logreg
+    pool = harness._fork_pool(forest_config(), 3)
+    try:
+        assert len(multiprocessing.active_children()) == 3  # min(CPUs, cells) workers
+    finally:
+        pool.terminate()
+    use_cpus(monkeypatch, {1})
+    assert harness._fork_pool(forest_config(), 6) is None
+    use_cpus(monkeypatch, {0, 1})
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert harness._fork_pool(forest_config(), 6) is None
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_in_the_parent_mid_run_ends_the_pool(monkeypatch, pools):
+    use_cpus(monkeypatch, {0, 1})
+    config = forest_config()
+    real = harness.fit_calibrated_pipeline
+    fits = []
+
+    def fail_in_the_second_cell(cal_scores, method):
+        fits.append(method)
+        if len(fits) > len(config.methods):
+            raise RuntimeError("planted calibration failure")
+        return real(cal_scores, method)
+
+    monkeypatch.setattr(harness, "fit_calibrated_pipeline", fail_in_the_second_cell)
+    # pytest.raises keeps the traceback, and with it the run's frame and its
+    # cell generator, alive: the pool must end without waiting for them
+    with pytest.raises(RuntimeError, match="planted") as raised:
+        run_repeated_cv(config)
+    assert pools[0] is not None
+    assert multiprocessing.active_children() == []
+    assert raised.value.args == ("planted calibration failure",)
+
+
+def test_an_error_in_a_worker_reaches_the_cli_as_the_same_data_error(tmp_path, monkeypatch, capsys, pools):
+    use_cpus(monkeypatch, {0, 1})
+
+    def single_class(*args, **kwargs):
+        raise SingleClassError("planted: the fit part holds one class")
+
+    monkeypatch.setattr(harness, "fit_forest", single_class)
+    with pytest.raises(SingleClassError, match="planted") as raised:
+        run_repeated_cv(forest_config())
+    # raised in a worker: the pool attaches the worker's traceback as the cause
+    assert type(raised.value.__cause__).__name__ == "RemoteTraceback"
+    assert multiprocessing.active_children() == []
+
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_json(forest_config())))
+    out = tmp_path / "results.json"
+    code = cli.main(["benchmark", "--config", str(config_path), "--out", str(out)])
+    assert code == 2
+    assert "data error: planted: the fit part holds one class" in capsys.readouterr().err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    assert len(pools) == 2 and all(pool is not None for pool in pools)
+
+
 def test_external_benchmark_end_to_end(tmp_path):
     """Score-file mode: fit maps on cal files, evaluate on test files."""
     rng = np.random.default_rng(5)
@@ -595,6 +699,12 @@ def test_bootstrap_ci_skips_undefined_draws():
     labels = np.array([0, 0, 0, 0, 0, 0, 0, 1])
     interval = bootstrap_metric_ci(probs, labels, metric="auc", draws=200, seed=0)
     assert np.isfinite(interval.mean)
+
+
+def test_bootstrap_auc_ci_rejects_a_nan_score():
+    # the NaN used to give every draw an AUC of 1.0: the interval [1.0, 1.0]
+    with pytest.raises(NonFiniteScoreError, match="scores"):
+        bootstrap_metric_ci([np.nan, 0.2, 0.9, 0.1], [1, 0, 1, 0], metric="auc", draws=50)
 
 
 @pytest.mark.parametrize(

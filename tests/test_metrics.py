@@ -22,8 +22,10 @@ from calibench import (
     reliability_bins,
 )
 from calibench.errors import (
+    CalibenchError,
     DegenerateGroupingError,
     LengthMismatchError,
+    NonFiniteScoreError,
     ProbabilityOutOfRangeError,
     SingleClassError,
     TooFewGroupsError,
@@ -326,6 +328,14 @@ def test_out_of_range_probabilities_rejected():
         mce([-0.2, 0.5], [0, 1], bins=10)
     with pytest.raises(ProbabilityOutOfRangeError):
         brier([float("nan")], [1])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_auc_rejects_non_finite_scores_as_a_data_error(bad):
+    # a NaN used to rank above every finite score: auc([nan, .2, .9, .1], ...) was 1.0
+    with pytest.raises(NonFiniteScoreError, match="^scores must be finite"):
+        auc([bad, 0.2, 0.9, 0.1], [1, 0, 1, 0])
+    assert issubclass(NonFiniteScoreError, CalibenchError)
 
 
 def test_non_binary_labels_rejected():

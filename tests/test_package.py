@@ -48,3 +48,6 @@ def test_cli_import_loads_only_numpy_and_the_standard_library():
     foreign = {name.split(".")[0] for name in loaded} - {"calibench", "numpy"}
     assert "calibench.cli" in loaded
     assert foreign <= set(sys.stdlib_module_names), sorted(foreign - set(sys.stdlib_module_names))
+    # the forest benchmark imports its worker pool when it makes one; every
+    # CLI run pays for what importing the CLI loads
+    assert not {"multiprocessing", "concurrent"} & {name.split(".")[0] for name in loaded}

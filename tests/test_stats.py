@@ -55,6 +55,15 @@ def test_t_cdf_matches_scipy_grid():
             )
 
 
+def test_cdfs_reject_a_nan_x_as_bad_input():
+    # not NotConvergedError, which the CLI reports as a numerical failure
+    with pytest.raises(ValueError, match="^x must be a number, got nan"):
+        t_cdf(float("nan"), 5)
+    with pytest.raises(ValueError, match=r"^chi-square requires x >= 0, got nan"):
+        chi2_cdf(float("nan"), 5)
+    assert t_cdf(math.inf, 5) == 1.0 and t_cdf(-math.inf, 5) == 0.0
+
+
 def test_chi2_cdf_matches_scipy_grid():
     assert chi2_cdf(0.0, 5) == 0.0
     for df in (1, 2, 4, 8, 10, 30):
@@ -230,6 +239,11 @@ def test_mean_ci_needs_two_samples():
         mean_ci([1.0])
 
 
+def test_mean_ci_rejects_a_non_finite_sample_by_name():
+    with pytest.raises(ValueError, match="^samples must be finite"):
+        mean_ci([1.0, float("nan"), 2.0])
+
+
 # ---------------------------------------------------------------------------
 # Shapiro-Wilk
 # ---------------------------------------------------------------------------
@@ -266,3 +280,9 @@ def test_shapiro_wilk_degenerate_and_size_limits():
         shapiro_wilk([1.0, 2.0])
     with pytest.raises(SampleSizeOutOfRangeError):
         shapiro_wilk(np.random.default_rng(0).standard_normal(5001))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_shapiro_wilk_rejects_a_non_finite_sample_by_name(bad):
+    with pytest.raises(ValueError, match="^samples must be finite"):
+        shapiro_wilk([1.0, bad, 2.0, 3.0, 4.0])
