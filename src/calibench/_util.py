@@ -7,12 +7,21 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import types
 import typing
 
 import numpy as np
 
-from .errors import NotConvergedError
+from .errors import (
+    DimensionMismatchError,
+    IndexOutOfRangeError,
+    LengthMismatchError,
+    NonBinaryLabelError,
+    NonFiniteScoreError,
+    NotConvergedError,
+    ProbabilityOutOfRangeError,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,27 +45,6 @@ def mix_seed(*parts: int) -> int:
     for part in parts:
         acc = splitmix64((acc + (int(part) & _MASK64)) & _MASK64)
     return acc
-
-
-def as_float_vector(values, name: str) -> np.ndarray:
-    """Coerce to a contiguous 1-D float64 array."""
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    return arr
-
-
-def as_binary_labels(values, name: str = "labels") -> np.ndarray:
-    """Coerce to a 1-D int64 array of {0, 1}, rejecting anything else."""
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    as_int = arr.astype(np.int64, copy=True)
-    if arr.dtype.kind == "f" and not np.array_equal(as_int, arr):
-        raise ValueError(f"{name} must contain only 0 and 1")
-    if not np.isin(as_int, (0, 1)).all():
-        raise ValueError(f"{name} must contain only 0 and 1")
-    return as_int
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:
@@ -116,21 +104,157 @@ def write_json(path: str, payload) -> None:
         handle.write(text)
 
 
-def check_int(value, name: str, minimum: int | None = None) -> int:
-    """``value`` if it is an ``int`` (a bool is not) of at least ``minimum``,
-    else ``ValueError`` naming ``name``."""
-    if type(value) is not int or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-    return value
+# ---------------------------------------------------------------------------
+# input checkers
+# ---------------------------------------------------------------------------
+#
+# One checker per input kind.  Every public function and input dataclass
+# calls the checker of each argument once, at entry, and the private
+# kernels behind it trust what it passes on.  A checker raises a ValueError
+# whose one-line message names the argument (a bad data value's error is
+# also a CalibenchError: see errors).
+#
+# Inf: data vectors and scalar settings must be finite.  The CDFs take
+# +-inf, the limits of their argument.  The maps and predictors take any
+# float: NaN gives NaN, and +-inf the map's limit.
+
+def _float_array(values, name: str, ndim: int) -> np.ndarray:
+    try:
+        arr = np.ascontiguousarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must hold numbers") from None
+    if arr.ndim != ndim:
+        shape = "a 1-D vector" if ndim == 1 else f"a {ndim}-D array"
+        raise ValueError(f"{name} must be {shape}, got shape {arr.shape}")
+    return arr
+
+
+def check_finite(values, name: str, ndim: int = 1) -> np.ndarray:
+    """``values`` as a contiguous float64 array of ``ndim`` dimensions (the
+    array itself if it is one) whose every entry is finite.  NaN or +-inf
+    raises NonFiniteScoreError."""
+    arr = _float_array(values, name, ndim)
+    if not np.isfinite(arr).all():
+        raise NonFiniteScoreError(f"{name} must be finite (no NaN or inf)")
+    return arr
+
+
+def check_probs(values, name: str) -> np.ndarray:
+    """``values`` as a contiguous 1-D float64 array of probabilities.  An
+    entry outside [0, 1], NaN and +-inf included, raises
+    ProbabilityOutOfRangeError."""
+    arr = _float_array(values, name, 1)
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+        raise ProbabilityOutOfRangeError(f"{name} must lie in [0, 1] (no NaN)")
+    return arr
+
+
+def check_labels(values, name: str = "labels") -> np.ndarray:
+    """``values`` as a new 1-D int64 array if every entry equals 0 or 1
+    (bools and floats may); any other, NaN or +-inf, NonBinaryLabelError."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+    if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
+        raise NonBinaryLabelError(f"{name} must contain only 0 and 1")
+    return arr.astype(np.int64)
+
+
+def check_same_length(first, second, names: str) -> None:
+    """LengthMismatchError unless ``first`` and ``second`` have as many
+    rows; ``names`` names both, such as ``"a and b"``."""
+    if len(first) != len(second):
+        raise LengthMismatchError(f"{names} differ in length: {len(first)} vs {len(second)}")
+
+
+def check_pairs(values, labels, name: str = "probs", kind=check_probs, min_size: int = 1):
+    """``(kind(values, name), check_labels(labels))``, of one length of at
+    least ``min_size`` (else LengthMismatchError)."""
+    v, y = kind(values, name), check_labels(labels)
+    check_same_length(v, y, f"{name} and labels")
+    if v.size < min_size:
+        raise LengthMismatchError(f"{name} and labels need at least {min_size} pair(s)")
+    return v, y
+
+
+def check_real(value, name: str, low=-math.inf, high=math.inf, ends: str = "()") -> float:
+    """``value`` as a float if it is a real number (a bool is not) in the
+    interval from ``low`` to ``high``, whose ``ends`` are brackets:
+    ``"()"`` open, ``"[)"`` closed below, ``"[]"`` closed.  NaN lies in no
+    interval and +-inf only at a closed infinite end, so a number in an
+    open interval is finite.  Else ValueError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond any float
+            x = math.inf if value > 0 else -math.inf
+        if (low <= x if ends[0] == "[" else low < x) and (x <= high if ends[1] == "]" else x < high):
+            return x
+    if math.isfinite(high):
+        span = f"a number in {ends[0]}{low:g}, {high:g}{ends[1]}"
+    else:  # an unbounded interval reads as its lower bound
+        span = ("a number" if ends[1] == "]" else "a finite number") + (
+            f" {'>=' if ends[0] == '[' else '>'} {low:g}" if math.isfinite(low) else ""
+        )
+    raise ValueError(f"{name} must be {span}, got {value!r}")
+
+
+def check_int(value, name: str, minimum: int | None = None, error=ValueError) -> int:
+    """``value`` as an int if it is an integer (a NumPy integer is; a bool,
+    NaN or +-inf is not) of at least ``minimum``; else ``error``."""
+    if (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        and (minimum is None or value >= minimum)
+    ):
+        return int(value)
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise error(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def check_counts(obj) -> None:
     """:func:`check_int` on every field of dataclass ``obj`` whose metadata
-    gives a ``"min"``."""
+    gives a ``"min"``; the field then holds a plain int."""
     for field in dataclasses.fields(obj):
         if "min" in field.metadata:
-            check_int(getattr(obj, field.name), field.name, field.metadata["min"])
+            value = check_int(getattr(obj, field.name), field.name, field.metadata["min"])
+            object.__setattr__(obj, field.name, value)
+
+
+def check_indices(values, name: str, bound: int) -> np.ndarray:
+    """``values`` as a 1-D intp array if every entry is an integer (a bool,
+    a fraction, NaN or +-inf is not: ValueError) in [0, bound) (else
+    IndexOutOfRangeError)."""
+    arr = np.asarray(values)
+    if arr.size == 0:
+        arr = arr.astype(np.intp)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a 1-D vector of integers, got {arr.dtype} {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise IndexOutOfRangeError(f"{name} must lie in [0, {bound}), got {arr.min()}..{arr.max()}")
+    return arr.astype(np.intp, copy=False)
+
+
+def check_type(value, kind, name: str):
+    """``value`` if it is an instance of ``kind``, a class or a tuple of
+    classes; else ValueError."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ValueError(f"{name} must be a {names}, got {type(value).__name__}")
+    return value
+
+
+def check_rows(features, d: int) -> tuple:
+    """``(float64 matrix, whether one row was given)`` for a length-``d``
+    vector or an (n, d) matrix of any floats; else DimensionMismatchError."""
+    x = np.asarray(features, dtype=np.float64)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise DimensionMismatchError(
+            f"features: expected vectors of length {d}, got shape {np.shape(features)}"
+        )
+    return x, single
 
 
 # ---------------------------------------------------------------------------

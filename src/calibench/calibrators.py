@@ -29,13 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.typing as npt
 
-from .errors import (
-    CalibrationWarning,
-    DegenerateLabelsError,
-    LengthMismatchError,
-)
+from .errors import CalibrationWarning, DegenerateLabelsError
 from ._util import (
-    as_binary_labels, as_float_vector, damped_newton, from_json, readonly, sigmoid, to_json,
+    check_finite, check_int, check_pairs, check_probs, check_real,
+    check_same_length, check_type, damped_newton, from_json, readonly, sigmoid, to_json,
 )
 
 __all__ = [
@@ -72,14 +69,7 @@ class ScoreSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        s = as_float_vector(self.scores, "scores")
-        y = as_binary_labels(self.labels)
-        if s.size != y.size:
-            raise LengthMismatchError(
-                f"scores and labels differ in length: {s.size} vs {y.size}"
-            )
-        if not np.isfinite(s).all():
-            raise ValueError("scores must be finite")
+        s, y = check_pairs(self.scores, self.labels, "scores", check_finite, 0)
         object.__setattr__(self, "scores", readonly(s))
         object.__setattr__(self, "labels", readonly(y))
 
@@ -106,18 +96,19 @@ class PlattMap:
     final_gradient_norm: float = field(default=float("nan"), metadata={"json": "omit"})
 
     def __post_init__(self):
-        if not (np.isfinite(self.A) and np.isfinite(self.B)):
-            raise ValueError(f"a Platt map needs finite A and B, got A={self.A!r}, B={self.B!r}")
+        check_real(self.A, "A")
+        check_real(self.B, "B")
+        check_int(self.iterations_used, "iterations_used", 0)
 
 
 @dataclass(frozen=True)
 class IsotonicMap:
     """Right-continuous non-decreasing step function over score knots.
 
-    ``knots`` are (a subset of) the distinct training scores, strictly
-    increasing; ``values`` are the fitted block values, non-decreasing and
-    inside [0, 1].  Application below the first knot clamps to the first
-    value, above the last knot to the last value.
+    ``knots`` are (a subset of) the distinct training scores, finite and
+    strictly increasing; ``values`` are the fitted block values,
+    non-decreasing and inside [0, 1].  Application below the first knot
+    clamps to the first value, above the last knot to the last value.
     """
 
     json_kind = "isotonic"
@@ -125,18 +116,14 @@ class IsotonicMap:
     values: npt.NDArray[np.float64]
 
     def __post_init__(self):
-        k = as_float_vector(self.knots, "knots")
-        v = as_float_vector(self.values, "values")
-        if k.size != v.size:
-            raise LengthMismatchError(f"knots and values differ in length: {k.size} vs {v.size}")
+        k, v = check_finite(self.knots, "knots"), check_probs(self.values, "values")
+        check_same_length(k, v, "knots and values")
         if k.size == 0:
-            raise ValueError("an isotonic map needs at least one knot")
+            raise ValueError("knots: an isotonic map needs at least one knot")
         if (np.diff(k) <= 0).any():
             raise ValueError("knots must be strictly increasing")
         if (np.diff(v) < 0).any():
             raise ValueError("values must be non-decreasing")
-        if (v < 0.0).any() or (v > 1.0).any():
-            raise ValueError("values must lie in [0, 1]")
         object.__setattr__(self, "knots", readonly(k))
         object.__setattr__(self, "values", readonly(v))
 
@@ -146,6 +133,9 @@ class IdentityMap:
     """The 'uncalibrated' map: returns its input clamped to [0, 1]."""
 
     json_kind = "identity"
+
+
+_MAPS = (PlattMap, IsotonicMap, IdentityMap)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +166,10 @@ def fit_platt(
     positive ridge the fit proceeds and a :class:`CalibrationWarning`
     is emitted.
     """
-    if ridge < 0.0:
-        raise ValueError("ridge must be >= 0")
+    check_type(data, ScoreSet, "data")
+    ridge = check_real(ridge, "ridge", 0.0, np.inf, "[)")
+    tol = check_real(tol, "tol", 0.0, np.inf, "[)")
+    max_iter = check_int(max_iter, "max_iter", 0)
     s = data.scores
     y = data.labels
     n_pos = int(y.sum())
@@ -309,7 +301,7 @@ def fit_isotonic(data: ScoreSet) -> IsotonicMap:
     The sort need not be stable: tied scores pool into one knot, and the
     sum of its 0/1 labels is an exact integer in any order.
     """
-    if data.n < 1:
+    if check_type(data, ScoreSet, "data").n < 1:
         raise ValueError("isotonic regression needs at least one sample")
     order = np.argsort(data.scores)
     s_sorted = data.scores[order]
@@ -348,6 +340,8 @@ def fit_calibrated_pipeline(base_scores: ScoreSet | None, method: str):
     fit = _FITS.get(str(method).lower())
     if fit is None:
         raise ValueError(f"unknown calibration method {method!r}; valid: {', '.join(METHODS)}")
+    if fit is not _FITS["uncalibrated"]:
+        check_type(base_scores, ScoreSet, "base_scores")
     return fit(base_scores)
 
 
@@ -357,9 +351,10 @@ def apply_map(calibration_map, score):
     Platt maps evaluate sigma(A*score + B); isotonic maps do a
     right-continuous step lookup (the value at the largest knot <= score),
     clamped to the end values outside the knot range; the identity map
-    clamps its input to [0, 1].  Every map sends NaN to NaN.  Scalar in,
-    scalar out; vector in, vector out.
+    clamps its input to [0, 1].  Every map sends NaN to NaN, and +-inf to
+    its limit.  Scalar in, scalar out; vector in, vector out.
     """
+    check_type(calibration_map, _MAPS, "calibration_map")
     scalar = np.isscalar(score) or np.ndim(score) == 0
     s = np.atleast_1d(np.asarray(score, dtype=np.float64))
     if isinstance(calibration_map, PlattMap):
@@ -373,10 +368,8 @@ def apply_map(calibration_map, score):
         np.maximum(idx, 0, out=idx)
         out = values[level[idx]]
         out[np.isnan(s)] = np.nan
-    elif isinstance(calibration_map, IdentityMap):
-        out = np.clip(s, 0.0, 1.0)
     else:
-        raise TypeError(f"not a calibration map: {type(calibration_map).__name__}")
+        out = np.clip(s, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
@@ -384,9 +377,7 @@ def map_to_json(calibration_map) -> dict:
     """Serialize a calibration map to its JSON-ready dict form:
     ``{"platt": {"A", "B"}}``, ``{"isotonic": {"knots", "values"}}`` or
     ``{"identity": {}}``."""
-    if not isinstance(calibration_map, (PlattMap, IsotonicMap, IdentityMap)):
-        raise TypeError(f"not a calibration map: {type(calibration_map).__name__}")
-    return to_json(calibration_map)
+    return to_json(check_type(calibration_map, _MAPS, "calibration_map"))
 
 
 def map_from_json(payload: dict):
@@ -394,5 +385,5 @@ def map_from_json(payload: dict):
     fault raises ``ValueError``."""
     try:
         return from_json(PlattMap | IsotonicMap | IdentityMap, payload, "map")
-    except (KeyError, LengthMismatchError) as exc:
+    except KeyError as exc:
         raise ValueError(exc.args[0]) from None

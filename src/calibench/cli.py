@@ -39,7 +39,7 @@ from .harness import (
 )
 from .metrics import reliability_bins
 from .stats import bonferroni
-from ._util import to_json, write_json
+from ._util import check_real, to_json, write_json
 
 __all__ = ["main"]
 
@@ -91,8 +91,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if not (0.0 < args.alpha < 1.0):
-        raise _UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
+    check_real(args.alpha, "--alpha", 0.0, 1.0)
     table = load_results(args.results)
     rows = compare_methods(table, args.metric, family_alpha=args.alpha)
     threshold, _ = bonferroni([row.p_value for row in rows], args.alpha)
@@ -128,15 +127,8 @@ def _cmd_reliability(args) -> int:
             count = int(stats.counts[i])
             conf = repr(float(stats.mean_confidence[i])) if count else ""
             acc = repr(float(stats.empirical_accuracy[i])) if count else ""
-            writer.writerow(
-                [
-                    repr(float(stats.bin_edges[i])),
-                    repr(float(stats.bin_edges[i + 1])),
-                    count,
-                    conf,
-                    acc,
-                ]
-            )
+            edges = [repr(float(edge)) for edge in stats.bin_edges[i:i + 2]]
+            writer.writerow(edges + [count, conf, acc])
     print(f"wrote {args.out}: {args.bins} bins over {score_set.n} scores")
     return 0
 
@@ -149,8 +141,7 @@ def _parse_g_star(spec: str):
             level = float(spec.split(":", 1)[1])
         except ValueError:
             raise _UsageError(f"bad constant level in --g-star {spec!r}") from None
-        if not (0.0 <= level <= 1.0):
-            raise _UsageError(f"--g-star constant level must be in [0, 1], got {level}")
+        check_real(level, "--g-star constant level", 0.0, 1.0, "[]")
         return spec, lambda s: np.full(np.shape(s), level)
     raise _UsageError(
         f"unknown --g-star {spec!r}; valid: identity, constant:<level>"
@@ -297,12 +288,15 @@ def main(argv=None) -> int:
     except NotConvergedError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (_UsageError, InvalidSpecError, ValueError) as exc:
+    except (_UsageError, InvalidSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, CalibenchError) as exc:
+    except (OSError, CalibenchError) as exc:  # a bad data value's error is also a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

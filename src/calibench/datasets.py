@@ -40,7 +40,10 @@ from .errors import (
     NonNumericFeatureError,
     TooFewSamplesPerClassError,
 )
-from ._util import as_binary_labels, check_counts, check_int, readonly
+from ._util import (
+    check_counts, check_finite, check_indices, check_int, check_labels, check_real,
+    check_same_length, check_type, readonly,
+)
 
 __all__ = [
     "Provenance",
@@ -87,21 +90,11 @@ class Dataset:
     provenance: Provenance
 
     def __post_init__(self):
-        x = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        if x.ndim != 2:
-            raise ValueError(f"features must be a 2-D matrix, got ndim={x.ndim}")
-        if not np.isfinite(x).all():
-            raise ValueError("features must be finite (no NaN or inf)")
-        y = as_binary_labels(self.labels)
-        if y.size != x.shape[0]:
-            raise ValueError(
-                f"labels length {y.size} does not match feature rows {x.shape[0]}"
-            )
+        x, y = check_finite(self.features, "features", 2), check_labels(self.labels)
+        check_same_length(x, y, "features and labels")
         names = tuple(str(c) for c in self.feature_names)
         if len(names) != x.shape[1]:
-            raise ValueError(
-                f"{len(names)} feature names for {x.shape[1]} feature columns"
-            )
+            raise ValueError(f"{len(names)} feature names for {x.shape[1]} feature columns")
         object.__setattr__(self, "features", readonly(x))
         object.__setattr__(self, "labels", readonly(y))
         object.__setattr__(self, "feature_names", names)
@@ -320,6 +313,7 @@ def load_csv(path: str, label_column: str = "y") -> Dataset:
 def save_csv(data: Dataset, path: str, label_column: str = "y") -> None:
     """Write a Dataset to CSV (header row; floats via repr, so a reload
     reproduces the values bit-for-bit)."""
+    check_type(data, Dataset, "data")
     _write_csv(path, list(data.feature_names) + [label_column], data.features, data.labels)
 
 
@@ -340,6 +334,7 @@ def load_score_csv(path: str) -> ScoreSet:
 
 def save_score_csv(data: ScoreSet, path: str) -> None:
     """Write a ScoreSet as a score file (columns ``score`` and ``y``)."""
+    check_type(data, ScoreSet, "data")
     _write_csv(path, ["score", "y"], data.scores[:, None], data.labels)
 
 
@@ -349,14 +344,9 @@ def save_score_csv(data: ScoreSet, path: str) -> None:
 
 def select_features(data: Dataset, indices) -> Dataset:
     """New Dataset keeping only the chosen feature columns (same labels)."""
-    idx = [int(i) for i in indices]
-    if not idx:
-        raise IndexOutOfRangeError("feature selection needs at least one index")
-    for i in idx:
-        if i < 0 or i >= data.d:
-            raise IndexOutOfRangeError(
-                f"feature index {i} out of range for d={data.d}"
-            )
+    idx = check_indices(indices, "indices", check_type(data, Dataset, "data").d)
+    if not idx.size:
+        raise IndexOutOfRangeError("indices: feature selection needs at least one index")
     return Dataset(
         data.features[:, idx],
         data.labels,
@@ -367,15 +357,8 @@ def select_features(data: Dataset, indices) -> Dataset:
 
 def subset(data: Dataset, indices) -> Dataset:
     """New Dataset keeping only the chosen rows (features and labels)."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= data.n):
-        raise IndexOutOfRangeError(f"row index out of range for n={data.n}")
-    return Dataset(
-        data.features[idx],
-        data.labels[idx],
-        data.feature_names,
-        data.provenance,
-    )
+    idx = check_indices(indices, "indices", check_type(data, Dataset, "data").n)
+    return Dataset(data.features[idx], data.labels[idx], data.feature_names, data.provenance)
 
 
 def _class_indices(labels: np.ndarray):
@@ -390,14 +373,14 @@ def stratified_split(data: Dataset, train_ratio: float, seed: int):
     sides keep at least one sample of each class) go to train.  Row order
     within each side follows the original dataset order.
     """
-    if not (0.0 < train_ratio < 1.0):
-        raise ValueError(f"train_ratio must be in (0, 1), got {train_ratio}")
+    check_type(data, Dataset, "data")
+    train_ratio = check_real(train_ratio, "train_ratio", 0.0, 1.0)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     neg, pos = _class_indices(data.labels)
     if neg.size < 2 or pos.size < 2:
         raise DegenerateClassError(
             f"both classes need >= 2 samples to split, got {neg.size} neg / {pos.size} pos"
         )
-    rng = np.random.default_rng(seed)
     train_parts = []
     test_parts = []
     for class_idx in (neg, pos):
@@ -414,6 +397,8 @@ def stratified_split(data: Dataset, train_ratio: float, seed: int):
 def deal_folds(labels: np.ndarray, folds: int, rng) -> np.ndarray:
     """Stratified fold id of every row: each class (0, then 1) is shuffled
     with ``rng`` and dealt round-robin across ``folds``."""
+    labels = check_labels(labels)
+    folds = check_int(folds, "folds", 1)
     fold_of = np.empty(labels.size, dtype=np.intp)
     for class_idx in _class_indices(labels):
         perm = rng.permutation(class_idx)
@@ -452,8 +437,9 @@ class FoldPlan:
 
 def make_fold_plan(data: Dataset, folds: int, repeats: int, base_seed: int) -> FoldPlan:
     """Build a stratified repeated-CV plan by per-class round-robin dealing."""
-    check_int(folds, "folds", 2)
-    check_int(repeats, "repeats", 1)
+    check_type(data, Dataset, "data")
+    folds, repeats = check_int(folds, "folds", 2), check_int(repeats, "repeats", 1)
+    base_seed = check_int(base_seed, "base_seed", 0)
     neg, pos = _class_indices(data.labels)
     if neg.size < folds or pos.size < folds:
         raise TooFewSamplesPerClassError(

@@ -2,7 +2,9 @@
 
 Every contract violation raises a dedicated subclass of :class:`CalibenchError`
 so callers (and the CLI's exit-code mapping) can distinguish failure classes
-without parsing messages.  Plain file-system failures are *not* wrapped: they
+without parsing messages.  The errors of a bad data value (a label, a length,
+a probability, a non-finite entry) are also ValueErrors, the error of any
+other rejected argument.  Plain file-system failures are *not* wrapped: they
 surface as the builtin ``OSError``.
 """
 
@@ -47,8 +49,8 @@ class MissingColumnError(CalibenchError):
     """A required column is absent from a CSV header."""
 
 
-class NonBinaryLabelError(CalibenchError):
-    """A label cell holds a value other than 0 or 1."""
+class NonBinaryLabelError(CalibenchError, ValueError):
+    """A label holds a value other than 0 or 1."""
 
 
 class NonNumericFeatureError(CalibenchError):
@@ -93,16 +95,17 @@ class DegenerateLabelsError(CalibenchError):
 
 # --- metrics ----------------------------------------------------------------
 
-class LengthMismatchError(CalibenchError):
+class LengthMismatchError(CalibenchError, ValueError):
     """Paired vectors have different lengths."""
 
 
-class ProbabilityOutOfRangeError(CalibenchError):
+class ProbabilityOutOfRangeError(CalibenchError, ValueError):
     """A probability lies outside [0, 1] or is not finite."""
 
 
-class NonFiniteScoreError(CalibenchError):
-    """A score to be ranked is NaN or infinite."""
+class NonFiniteScoreError(CalibenchError, ValueError):
+    """A value that must be finite (a score, sample, feature or knot) is NaN
+    or infinite."""
 
 
 class SingleClassError(CalibenchError):

@@ -38,9 +38,9 @@ pool is made, so no other run pays for the import.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +75,9 @@ from .stats import (
     paired_t_test,
     shapiro_wilk,
 )
-from ._util import check_counts, check_int, from_json, mix_seed, to_json, write_json
+from ._util import (
+    check_counts, check_int, check_real, check_type, from_json, mix_seed, to_json, write_json,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -167,8 +169,7 @@ class ScoreFileSource:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         for entry in self.entries:
-            if not isinstance(entry, ScoreFilePair):
-                raise ValueError("entries must be ScoreFilePair instances")
+            check_type(entry, ScoreFilePair, "entries")
 
 
 @dataclass(frozen=True)
@@ -179,8 +180,7 @@ class LogregSpec:
     C: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.C < math.inf:
-            raise ValueError(f"C must be a finite number > 0, got {self.C!r}")
+        check_real(self.C, "C", 0.0)
 
 
 @dataclass(frozen=True)
@@ -221,12 +221,8 @@ class ExperimentConfig:
     family_alpha: float = 0.05
 
     def __post_init__(self):
-        if not isinstance(self.source, (SyntheticConfig, CsvSource, ScoreFileSource)):
-            raise ValueError(
-                "source must be a SyntheticConfig, CsvSource, or ScoreFileSource"
-            )
-        if not isinstance(self.model, (LogregSpec, ForestSpec, ExternalSpec)):
-            raise ValueError("model must be a LogregSpec, ForestSpec, or ExternalSpec")
+        check_type(self.source, (SyntheticConfig, CsvSource, ScoreFileSource), "source")
+        check_type(self.model, (LogregSpec, ForestSpec, ExternalSpec), "model")
         methods = tuple(str(m).lower() for m in self.methods)
         if not methods:
             raise ValueError("methods must be non-empty")
@@ -250,14 +246,11 @@ class ExperimentConfig:
                 )
             object.__setattr__(self, "feature_mode", indices)
         check_counts(self)
-        if not (0.0 < self.family_alpha < 1.0):
-            raise ValueError(f"family_alpha must be in (0, 1), got {self.family_alpha!r}")
+        check_real(self.family_alpha, "family_alpha", 0.0, 1.0)
         external_model = isinstance(self.model, ExternalSpec)
         external_source = isinstance(self.source, ScoreFileSource)
         if external_model != external_source:
-            raise ValueError(
-                "an external model requires a score-file source and vice versa"
-            )
+            raise ValueError("an external model requires a score-file source and vice versa")
         if external_source:
             expected = self.folds * self.repeats
             if len(self.source.entries) != expected:
@@ -267,9 +260,7 @@ class ExperimentConfig:
                 )
             needs_cal = any(m != "uncalibrated" for m in methods)
             if needs_cal and any(e.cal is None for e in self.source.entries):
-                raise ValueError(
-                    "calibrated methods require a 'cal' score file in every entry"
-                )
+                raise ValueError("calibrated methods require a 'cal' score file in every entry")
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +379,8 @@ def run_enhanced_calibration(data: Dataset, model_spec, seed: int) -> PipelineAr
     (calibration size, score normality, CV), fits the chosen map on the
     full calibration split, and reports held-out test metrics.
     """
-    counts = np.bincount(data.labels, minlength=2)
+    counts = np.bincount(check_type(data, Dataset, "data").labels, minlength=2)
+    seed = check_int(seed, "seed")
     if counts.min() < 3:
         raise TooFewSamplesError(
             f"each class needs >= 3 samples, got {counts[0]} neg / {counts[1]} pos"
@@ -544,17 +536,10 @@ def aggregate_records(records) -> tuple:
     aggregation; ``runs`` records how many values remained.
     """
     groups: dict = {}
-    order: list = []
     for record in records:
-        key = (record.model_name, record.method_name)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(record.metrics)
+        groups.setdefault((record.model_name, record.method_name), []).append(record.metrics)
     rows = []
-    for key in sorted(order):
-        model_name, method_name = key
-        reports = groups[key]
+    for (model_name, method_name), reports in sorted(groups.items()):
         for metric in AGGREGATE_METRICS:
             values = np.array([getattr(r, metric) for r in reports], dtype=np.float64)
             values = values[np.isfinite(values)]
@@ -576,21 +561,15 @@ def aggregate_records(records) -> tuple:
 
 
 def _paired_values(records, method: str, metric: str) -> dict:
-    values = {}
-    for record in records:
-        if record.method_name == method:
-            values[(record.repeat, record.fold)] = getattr(record.metrics, metric)
-    return values
+    return {
+        (r.repeat, r.fold): getattr(r.metrics, metric) for r in records if r.method_name == method
+    }
 
 
 def _comparisons_for(records, methods, metrics, family_alpha: float):
     """All unordered method pairs on each metric, Bonferroni-corrected
     across every emitted pair."""
-    pairs = [
-        (methods[i], methods[j])
-        for i in range(len(methods))
-        for j in range(i + 1, len(methods))
-    ]
+    pairs = list(itertools.combinations(methods, 2))
     results = []  # (metric, PairedComparison) in emission order
     for metric in metrics:
         per_method = {m: _paired_values(records, m, metric) for m in methods}
@@ -667,13 +646,10 @@ def compare_methods(table: ResultTable, metric: str, family_alpha: float | None 
     the table's configured value.
     """
     if metric not in AGGREGATE_METRICS:
-        raise ValueError(
-            f"unknown metric {metric!r}; valid: {', '.join(AGGREGATE_METRICS)}"
-        )
+        raise ValueError(f"unknown metric {metric!r}; valid: {', '.join(AGGREGATE_METRICS)}")
     if family_alpha is None:
         family_alpha = table.config.family_alpha
-    if not (0.0 < family_alpha < 1.0):
-        raise ValueError(f"family_alpha must be in (0, 1), got {family_alpha!r}")
+    check_real(family_alpha, "family_alpha", 0.0, 1.0)
     methods = table.config.methods
     if len(methods) < 2:
         raise IncompleteRecordsError("comparisons need at least two methods")
@@ -688,17 +664,6 @@ def compare_methods(table: ResultTable, metric: str, family_alpha: float | None 
 _EVAL_SAMPLE = 10_000
 
 
-def _validate_g_star(g_star) -> None:
-    grid = np.linspace(0.0, 1.0, 1001)
-    vals = np.asarray(g_star(grid), dtype=np.float64)
-    if vals.shape != grid.shape or not np.isfinite(vals).all():
-        raise InvalidSpecError("g_star must map [0,1] vectors to finite values")
-    if (vals < 0.0).any() or (vals > 1.0).any():
-        raise InvalidSpecError("g_star values must lie in [0, 1]")
-    if (np.diff(vals) < -1e-12).any():
-        raise InvalidSpecError("g_star must be non-decreasing on [0, 1]")
-
-
 def run_convergence_study(g_star, sizes, trials: int, seed: int) -> ConvergenceStudy:
     """Measure isotonic-fit error against a known monotone truth.
 
@@ -707,7 +672,8 @@ def run_convergence_study(g_star, sizes, trials: int, seed: int) -> ConvergenceS
     10,000-point evaluation sample.  Returns per-size mean errors and the
     least-squares slope of log(mean error) against log(n).
     """
-    sizes = tuple(int(n) for n in sizes)
+    sizes = tuple(check_int(n, "sizes") for n in sizes)
+    trials, seed = check_int(trials, "trials"), check_int(seed, "seed")
     if len(sizes) < 4:
         raise InvalidSpecError(f"need >= 4 sample sizes, got {len(sizes)}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -715,12 +681,17 @@ def run_convergence_study(g_star, sizes, trials: int, seed: int) -> ConvergenceS
     if sizes[0] < 1:
         raise InvalidSpecError("sizes must be positive")
     if sizes[-1] < 100 * sizes[0]:
-        raise InvalidSpecError(
-            f"sizes must span >= 2 decades, got {sizes[0]}..{sizes[-1]}"
-        )
+        raise InvalidSpecError(f"sizes must span >= 2 decades, got {sizes[0]}..{sizes[-1]}")
     if trials < 10:
         raise InvalidSpecError(f"need >= 10 trials, got {trials}")
-    _validate_g_star(g_star)
+    grid = np.linspace(0.0, 1.0, 1001)
+    vals = np.asarray(g_star(grid), dtype=np.float64)
+    if vals.shape != grid.shape or not np.isfinite(vals).all():
+        raise InvalidSpecError("g_star must map [0,1] vectors to finite values")
+    if (vals < 0.0).any() or (vals > 1.0).any():
+        raise InvalidSpecError("g_star values must lie in [0, 1]")
+    if (np.diff(vals) < -1e-12).any():
+        raise InvalidSpecError("g_star must be non-decreasing on [0, 1]")
 
     trial_errors = np.empty((len(sizes), trials))
     for i, n in enumerate(sizes):
@@ -772,17 +743,14 @@ def bootstrap_metric_ci(
     Draw ``i`` resamples with the ``i``-th of successive
     ``rng.integers(0, n, size=n)`` calls; they are drawn as rows of
     ``(rows, n)`` blocks, which is the same stream.  ECE, MCE and
-    reliability score a whole block at once, bit for bit as the public
-    functions score each resample; the other metrics call them per draw.
+    reliability score a whole block at once, and the other metrics each
+    resample, bit for bit as the public functions score it.
     """
     if metric not in _BOOTSTRAP_METRICS:
-        raise ValueError(
-            f"unknown metric {metric!r}; valid: {', '.join(_BOOTSTRAP_METRICS)}"
-        )
+        raise ValueError(f"unknown metric {metric!r}; valid: {', '.join(_BOOTSTRAP_METRICS)}")
     draws = check_int(draws, "draws", minimum=1)
     bins = check_int(bins, "bins", minimum=1)
-    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
-        raise ValueError(f"level must be a number in (0, 1), got {level!r}")
+    level, seed = check_real(level, "level", 0.0, 1.0), check_int(seed, "seed", 0)
     point, samples = _bootstrap_samples(probs, labels, metric, bins, draws, seed)
     if samples.size == 0:
         raise ValueError(f"metric {metric!r} was undefined on every bootstrap draw")
@@ -798,28 +766,35 @@ def bootstrap_metric_ci(
 
 def _bootstrap_samples(probs, labels, metric: str, bins: int, draws: int, seed: int):
     """``(point estimate, array of the defined draws' values)`` for
-    :func:`bootstrap_metric_ci`, whose arguments are already checked."""
+    :func:`bootstrap_metric_ci`, whose other arguments are already checked.
+    The public metric that gives the point estimate checks the pairs, and
+    the draws score them with its kernel."""
     from . import metrics as _metrics
 
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels)
-    if metric in ("ece", "mce", "reliability"):
-        point = (_metrics.mce if metric == "mce" else _metrics.ece)(p, y, bins=bins)
-        p_valid, y_valid = _metrics._validate_pairs(p, y)
-        _, bin_of = _metrics._bin_of(p_valid, bins)
-        y_valid = y_valid.astype(np.float64)
+    binned = metric in ("ece", "mce", "reliability")
+    public = getattr(_metrics, "ece" if metric == "reliability" else metric)
+    point = public(probs, labels, bins=bins) if binned else public(probs, labels)
+    p = np.ascontiguousarray(probs, dtype=np.float64)
+    y = np.asarray(labels).astype(np.int64)
+    if binned:
+        _, bin_of = _metrics._bin_of(p, bins)
+        y_float = y.astype(np.float64)
 
         def score_block(rows):
-            ece, mce = _metrics._resampled_ece_mce(p_valid, y_valid, bin_of, bins, rows)
+            ece, mce = _metrics._resampled_ece_mce(p, y_float, bin_of, bins, rows)
             return mce if metric == "mce" else ece
     else:
-        point = float(getattr(_metrics, metric)(p, y))
+        kernel = {
+            "brier": _metrics._brier,
+            "log_loss": lambda p, y: _metrics._log_loss(p, y, 1e-15),
+            "auc": lambda s, y: _metrics._auc(s, y, _metrics._stable_order(s)),
+        }[metric]
 
         def score_block(rows):
             values = []
             for idx in rows:
                 try:
-                    values.append(float(getattr(_metrics, metric)(p[idx], y[idx])))
+                    values.append(kernel(p[idx], y[idx]))
                 except SingleClassError:
                     continue
             return values

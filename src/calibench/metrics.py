@@ -18,15 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateGroupingError,
-    LengthMismatchError,
-    NonFiniteScoreError,
-    ProbabilityOutOfRangeError,
-    SingleClassError,
-    TooFewGroupsError,
-)
-from ._util import as_binary_labels, as_float_vector, readonly
+from .errors import DegenerateGroupingError, SingleClassError, TooFewGroupsError
+from ._util import check_finite, check_int, check_pairs, check_real, readonly
 from . import stats
 
 __all__ = [
@@ -94,33 +87,19 @@ class MetricReport:
     bin_count: int
 
 
-def _validate_pairs(probs, labels):
-    p = as_float_vector(probs, "probs")
-    y = as_binary_labels(labels)
-    if p.size != y.size:
-        raise LengthMismatchError(f"probs and labels differ in length: {p.size} vs {y.size}")
-    if p.size == 0:
-        raise LengthMismatchError("at least one (prob, label) pair is required")
-    if not np.isfinite(p).all() or (p < 0.0).any() or (p > 1.0).any():
-        raise ProbabilityOutOfRangeError("probabilities must lie in [0, 1]")
-    return p, y
-
-
 def reliability_bins(probs, labels, bins: int = 10) -> BinStats:
     """Equal-width reliability-diagram statistics.
 
     Each probability lands in exactly one bin (left edge inclusive, right
     edge exclusive, last bin closed at 1.0); counts sum to n.
     """
-    p, y = _validate_pairs(probs, labels)
-    return _reliability_bins(p, y, bins)
+    p, y = check_pairs(probs, labels)
+    return _reliability_bins(p, y, check_int(bins, "bins", 1))
 
 
 def _bin_of(p, bins: int):
     """``(edges, bin index of each probability)``: the one definition of bin
     membership behind every binned metric."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
     # edge i is i/bins correctly rounded, so bin membership is reproducible
     # from the definition alone (linspace edges can differ in the last ulp)
     edges = np.arange(bins + 1, dtype=np.float64) / bins
@@ -185,8 +164,7 @@ def _resampled_ece_mce(p, y, bin_of, bins: int, rows):
 
 def brier(probs, labels) -> float:
     """Mean squared error between probabilities and binary outcomes."""
-    p, y = _validate_pairs(probs, labels)
-    return _brier(p, y)
+    return _brier(*check_pairs(probs, labels))
 
 
 def _brier(p, y) -> float:
@@ -195,10 +173,8 @@ def _brier(p, y) -> float:
 
 def log_loss(probs, labels, epsilon: float = 1e-15) -> float:
     """Mean negative log-likelihood with probabilities clipped to [eps, 1-eps]."""
-    p, y = _validate_pairs(probs, labels)
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon}")
-    return _log_loss(p, y, epsilon)
+    p, y = check_pairs(probs, labels)
+    return _log_loss(p, y, check_real(epsilon, "epsilon", 0.0, 0.5))
 
 
 def _log_loss(p, y, epsilon: float) -> float:
@@ -212,12 +188,7 @@ def auc(scores, labels) -> float:
     Ties contribute 1/2 via mid-ranks, so the result is invariant under any
     strictly increasing transform of the scores.  Scores must be finite.
     """
-    s = as_float_vector(scores, "scores")
-    y = as_binary_labels(labels)
-    if s.size != y.size:
-        raise LengthMismatchError(f"scores and labels differ in length: {s.size} vs {y.size}")
-    if not np.isfinite(s).all():
-        raise NonFiniteScoreError("scores must be finite (no NaN or inf)")
+    s, y = check_pairs(scores, labels, "scores", check_finite, 0)
     return _auc(s, y, _stable_order(s))
 
 
@@ -250,7 +221,7 @@ def _auc(s, y, order) -> float:
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassError("AUC needs at least one positive and one negative label")
+        raise SingleClassError("labels: AUC needs at least one positive and one negative label")
     ranks = np.empty(s.size, dtype=np.float64)
     sorted_scores = s[order]
     # mid-ranks: average the 1-based positions within each tie group
@@ -273,8 +244,8 @@ def hosmer_lemeshow(probs, labels, groups: int = 10):
 
     Returns ``(statistic, p_value)``.
     """
-    p, y = _validate_pairs(probs, labels)
-    return _hosmer_lemeshow(p, y, groups, _stable_order(p))
+    p, y = check_pairs(probs, labels)
+    return _hosmer_lemeshow(p, y, check_int(groups, "groups"), _stable_order(p))
 
 
 def _hosmer_lemeshow(p, y, groups: int, order):
@@ -326,7 +297,9 @@ def metric_report(probs, labels, bins: int = 10, hl_groups: int = 10) -> MetricR
     grouping is infeasible (tiny folds, near-constant probabilities), so
     benchmark loops never abort on an edge-case fold.
     """
-    p, y = _validate_pairs(probs, labels)
+    p, y = check_pairs(probs, labels)
+    bins = check_int(bins, "bins", 1)
+    hl_groups = check_int(hl_groups, "hl_groups")
     bin_stats = _reliability_bins(p, y, bins)
     e = bin_stats.ece()
     order = _stable_order(p)  # Hosmer-Lemeshow needs it stable, AUC any sort

@@ -43,12 +43,11 @@ import numpy.typing as npt
 
 from .calibrators import ScoreSet
 from .datasets import Dataset
-from .errors import (
-    DimensionMismatchError,
-    MalformedModelError,
-    SingleClassError,
+from .errors import MalformedModelError, SingleClassError
+from ._util import (
+    check_finite, check_int, check_real, check_rows, check_type, damped_newton,
+    from_json, readonly, sigmoid, to_json,
 )
-from ._util import damped_newton, from_json, readonly, sigmoid, to_json
 
 __all__ = [
     "LogisticModel",
@@ -69,7 +68,8 @@ _PROB_MARGIN = 1e-15
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """Fitted logistic regression: predicts sigmoid(weights @ x + bias)."""
+    """Fitted logistic regression: predicts sigmoid(weights @ x + bias),
+    with finite weights and bias."""
 
     json_kind = "logistic"
     weights: npt.NDArray[np.float64]
@@ -79,10 +79,10 @@ class LogisticModel:
     final_gradient_norm: float
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        if w.ndim != 1:
-            raise ValueError("weights must be a 1-D vector")
-        object.__setattr__(self, "weights", readonly(w))
+        object.__setattr__(self, "weights", readonly(check_finite(self.weights, "weights")))
+        check_real(self.bias, "bias")
+        check_real(self.inverse_reg_strength, "inverse_reg_strength", 0.0)
+        check_int(self.iterations_used, "iterations_used", 0)
 
     @property
     def d(self) -> int:
@@ -129,6 +129,8 @@ class ForestModel:
     trees: tuple[Tree, ...]
 
 
+_MODELS = (LogisticModel, ForestModel)
+
 # ---------------------------------------------------------------------------
 # logistic regression
 # ---------------------------------------------------------------------------
@@ -145,8 +147,10 @@ def fit_logistic(
     fixed point, where ``final_gradient_norm`` may exceed ``tol``.  Raises
     :class:`NotConvergedError` after ``max_iter`` Newton updates.
     """
-    if C <= 0.0:
-        raise ValueError(f"C must be > 0, got {C}")
+    check_type(data, Dataset, "data")
+    C = check_real(C, "C", 0.0)
+    tol = check_real(tol, "tol", 0.0, np.inf, "[)")
+    max_iter = check_int(max_iter, "max_iter", 0)
     y = data.labels.astype(np.float64)
     n_pos = int(data.labels.sum())
     if n_pos == 0 or n_pos == data.n:
@@ -206,25 +210,13 @@ def fit_logistic(
     )
 
 
-def _as_feature_matrix(features, d: int) -> tuple:
-    x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != d:
-        raise DimensionMismatchError(
-            f"expected feature vectors of length {d}, got shape {np.shape(features)}"
-        )
-    return x, single
-
-
 def predict_logistic(model: LogisticModel, features):
     """Predicted positive-class probability, strictly inside (0, 1).
 
     Accepts one length-d vector (returns a float) or an (n, d) matrix
     (returns a length-n vector).
     """
-    x, single = _as_feature_matrix(features, model.d)
+    x, single = check_rows(features, check_type(model, LogisticModel, "model").d)
     p = sigmoid(x @ model.weights + model.bias)
     np.clip(p, _PROB_MARGIN, 1.0 - _PROB_MARGIN, out=p)
     return float(p[0]) if single else p
@@ -430,11 +422,10 @@ def fit_forest(
     ``_BLOCK_TREES`` trees.  Single-class data is allowed and yields
     single-leaf trees that predict that class's rate (1.0 or 0.0).
     """
-    if tree_count < 1:
-        raise ValueError(f"tree_count must be >= 1, got {tree_count}")
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    if data.d < 1:
+    tree_count = check_int(tree_count, "tree_count", 1)
+    max_depth = check_int(max_depth, "max_depth", 1)
+    seed = check_int(seed, "seed", 0)
+    if check_type(data, Dataset, "data").d < 1:
         raise ValueError("a forest needs at least one feature column")
     mtry = max(1, math.isqrt(data.d))
     ranks = _dense_ranks(data.features)
@@ -460,7 +451,7 @@ def predict_forest(model: ForestModel, features):
     (returns a length-n vector).  All trees are walked together, one level
     per step, and their leaf values are summed in tree order.
     """
-    x, single = _as_feature_matrix(features, model.feature_count)
+    x, single = check_rows(features, check_type(model, ForestModel, "model").feature_count)
     trees = model.trees
     sizes = [tree.feature.size for tree in trees]
     roots = np.cumsum([0] + sizes[:-1])
@@ -493,43 +484,33 @@ def predict_forest(model: ForestModel, features):
 
 def score_dataset(model, data: Dataset) -> ScoreSet:
     """Pair each sample's predicted probability with its label, in order."""
-    if isinstance(model, LogisticModel):
+    check_type(data, Dataset, "data")
+    if isinstance(check_type(model, _MODELS, "model"), LogisticModel):
         scores = predict_logistic(model, data.features)
-    elif isinstance(model, ForestModel):
-        scores = predict_forest(model, data.features)
     else:
-        raise TypeError(f"not a fitted model: {type(model).__name__}")
+        scores = predict_forest(model, data.features)
     return ScoreSet(scores, data.labels)
 
 
 def model_to_json(model) -> dict:
     """Serialize a fitted model to its JSON-ready dict form,
     ``{"logistic": {...}}`` or ``{"forest": {...}}``."""
-    if not isinstance(model, (LogisticModel, ForestModel)):
-        raise TypeError(f"not a fitted model: {type(model).__name__}")
-    return to_json(model)
+    return to_json(check_type(model, _MODELS, "model"))
 
 
 def model_from_json(payload: dict):
     """Inverse of :func:`model_to_json`, strict like the config reader;
-    every fault raises :class:`MalformedModelError`."""
+    every fault raises :class:`MalformedModelError`.  A forest loads only if
+    :func:`predict_forest` can walk each tree to a leaf and the mean is over
+    them all: each child's index exceeds its parent's (breadth-first or
+    depth-first numbering), thresholds are finite (a leaf's is 0.0) and
+    counts non-negative."""
     try:
         model = from_json(LogisticModel | ForestModel, payload, "model")
     except (KeyError, ValueError) as exc:
         raise MalformedModelError(exc.args[0]) from None
-    if isinstance(model, ForestModel):
-        _check_forest(model)
-    return model
-
-
-def _check_forest(model: ForestModel) -> None:
-    """Raise :class:`MalformedModelError` unless every tree is one that
-    :func:`predict_forest` can walk to a leaf and the mean is over them all.
-
-    Each child's index exceeds its parent's, so every walk ends; any
-    numbering with that property loads, breadth-first or depth-first.
-    Thresholds are finite (a leaf's is 0.0) and counts non-negative.
-    """
+    if isinstance(model, LogisticModel):
+        return model
     if not model.trees:
         raise MalformedModelError("a forest needs at least one tree")
     if model.tree_count != len(model.trees):
@@ -562,3 +543,4 @@ def _check_forest(model: ForestModel) -> None:
             raise MalformedModelError(f"tree {index}: every threshold must be finite")
         if (tree.count < 0).any():
             raise MalformedModelError(f"tree {index}: a node's count must be >= 0")
+    return model

@@ -26,12 +26,11 @@ from .errors import (
     DegenerateVarianceError,
     EmptyFamilyError,
     InvalidDFError,
-    LengthMismatchError,
     NotConvergedError,
     SampleSizeOutOfRangeError,
     TooFewSamplesError,
 )
-from ._util import as_float_vector
+from ._util import check_finite, check_int, check_probs, check_real, check_same_length
 
 __all__ = [
     "PairedComparison",
@@ -93,8 +92,7 @@ class IntervalEstimate:
                 f"interval must satisfy lower <= mean <= upper, got "
                 f"({self.lower}, {self.mean}, {self.upper})"
             )
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
+        check_real(self.level, "level", 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -206,26 +204,23 @@ def _reg_lower_gamma(s: float, x: float) -> float:
     raise NotConvergedError("incomplete gamma continued fraction did not converge")
 
 
-def _check_df(df) -> int:
-    if isinstance(df, bool) or df != int(df):
-        raise InvalidDFError(f"degrees of freedom must be a positive integer, got {df!r}")
-    df = int(df)
-    if df < 1:
-        raise InvalidDFError(f"degrees of freedom must be >= 1, got {df}")
-    return df
-
-
 def normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2."""
-    return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
+    """Standard normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2; ``x`` may be
+    +-inf, not NaN."""
+    return _normal_cdf(check_real(x, "x", ends="[]"))
+
+
+def _normal_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def t_cdf(x: float, df) -> float:
-    """CDF of Student's t distribution with ``df`` degrees of freedom."""
-    df = _check_df(df)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must be a number, got nan")
+    """CDF of Student's t distribution with ``df`` degrees of freedom (an
+    integer >= 1, else InvalidDFError); ``x`` may be +-inf, not NaN."""
+    return _t_cdf(check_real(x, "x", ends="[]"), check_int(df, "df", 1, InvalidDFError))
+
+
+def _t_cdf(x: float, df: int) -> float:
     if x == 0.0:
         return 0.5
     tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + x * x))
@@ -233,12 +228,11 @@ def t_cdf(x: float, df) -> float:
 
 
 def chi2_cdf(x: float, df) -> float:
-    """CDF of the chi-square distribution with ``df`` degrees of freedom."""
-    df = _check_df(df)
-    x = float(x)
-    if not x >= 0.0:
-        raise ValueError(f"chi-square requires x >= 0, got {x}")
-    return _reg_lower_gamma(0.5 * df, 0.5 * x)
+    """CDF of the chi-square distribution with ``df`` degrees of freedom (an
+    integer >= 1, else InvalidDFError) at ``x`` >= 0, +inf included."""
+    df = check_int(df, "df", 1, InvalidDFError)
+    x = check_real(x, "x", 0.0, math.inf, "[]")
+    return 1.0 if x == math.inf else _reg_lower_gamma(0.5 * df, 0.5 * x)
 
 
 def _invert_cdf(cdf, p: float, lo: float, hi: float) -> float:
@@ -255,33 +249,17 @@ def _invert_cdf(cdf, p: float, lo: float, hi: float) -> float:
 
 
 def _normal_quantile(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile level must lie in (0, 1)")
-    return _invert_cdf(normal_cdf, p, -14.0, 14.0)
+    return _invert_cdf(_normal_cdf, p, -14.0, 14.0)
 
 
 @lru_cache(maxsize=128)
 def _t_quantile(p: float, df: int) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile level must lie in (0, 1)")
-    return _invert_cdf(lambda x: t_cdf(x, df), p, -1e9, 1e9)
+    return _invert_cdf(lambda x: _t_cdf(x, df), p, -1e9, 1e9)
 
 
 # ---------------------------------------------------------------------------
 # paired comparisons
 # ---------------------------------------------------------------------------
-
-def _paired_diffs(a, b) -> np.ndarray:
-    av = as_float_vector(a, "a")
-    bv = as_float_vector(b, "b")
-    if av.size != bv.size:
-        raise LengthMismatchError(f"paired vectors differ in length: {av.size} vs {bv.size}")
-    if av.size < 2:
-        raise TooFewSamplesError("paired comparison needs n >= 2")
-    if not (np.isfinite(av).all() and np.isfinite(bv).all()):
-        raise ValueError("paired values must be finite (no NaN or inf)")
-    return av - bv
-
 
 def paired_t_test(a, b, name_a: str = "a", name_b: str = "b") -> PairedComparison:
     """Two-sided paired t-test on the differences ``a - b``.
@@ -289,7 +267,11 @@ def paired_t_test(a, b, name_a: str = "a", name_b: str = "b") -> PairedCompariso
     t = mean(d) / (sd(d) / sqrt(n)) with the sample standard deviation
     (n - 1 denominator); p = 2 * (1 - t_cdf(|t|, n - 1)).
     """
-    d = _paired_diffs(a, b)
+    a, b = check_finite(a, "a"), check_finite(b, "b")
+    check_same_length(a, b, "a and b")
+    if a.size < 2:
+        raise TooFewSamplesError("a and b: a paired comparison needs n >= 2")
+    d = a - b
     n = d.size
     df = n - 1
     md = float(d.mean())
@@ -305,16 +287,15 @@ def paired_t_test(a, b, name_a: str = "a", name_b: str = "b") -> PairedCompariso
 
 
 def cohens_d_paired(a, b) -> float:
-    """Paired effect size d_z = mean(a - b) / sd(a - b)."""
-    d = _paired_diffs(a, b)
-    md = float(d.mean())
-    sd = float(d.std(ddof=1))
-    if sd == 0.0:
-        if md == 0.0:
-            warnings.warn("zero differences: Cohen's d set to 0 by convention", stacklevel=2)
-            return 0.0
+    """Paired effect size d_z = mean(a - b) / sd(a - b), the ``cohens_d`` of
+    :func:`paired_t_test`."""
+    result = paired_t_test(a, b)
+    if not result.degenerate:
+        return result.cohens_d
+    if result.mean_diff != 0.0:
         raise DegenerateVarianceError("differences have zero variance but nonzero mean")
-    return md / sd
+    warnings.warn("zero differences: Cohen's d set to 0 by convention", stacklevel=2)
+    return 0.0
 
 
 def bonferroni(p_values, family_alpha: float):
@@ -322,31 +303,19 @@ def bonferroni(p_values, family_alpha: float):
 
     Returns ``(threshold, decisions)`` with ``decisions`` a boolean array.
     """
-    p = as_float_vector(p_values, "p_values")
+    p = check_probs(p_values, "p_values")
     if p.size == 0:
-        raise EmptyFamilyError("cannot correct over an empty family of p-values")
-    if not 0.0 < family_alpha < 1.0:
-        raise ValueError("family_alpha must lie in (0, 1)")
-    if (p < 0.0).any() or (p > 1.0).any() or not np.isfinite(p).all():
-        raise ValueError("p-values must lie in [0, 1]")
-    threshold = family_alpha / p.size
+        raise EmptyFamilyError("p_values: cannot correct over an empty family")
+    threshold = check_real(family_alpha, "family_alpha", 0.0, 1.0) / p.size
     return threshold, p < threshold
-
-
-def _finite_samples(samples) -> np.ndarray:
-    x = as_float_vector(samples, "samples")
-    if not np.isfinite(x).all():
-        raise ValueError("samples must be finite (no NaN or inf)")
-    return x
 
 
 def mean_ci(samples, level: float = 0.95) -> IntervalEstimate:
     """t-based confidence interval: mean +/- t_{(1+level)/2, n-1} * sd / sqrt(n)."""
-    x = _finite_samples(samples)
+    x = check_finite(samples, "samples")
     if x.size < 2:
-        raise TooFewSamplesError("confidence interval needs n >= 2")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+        raise TooFewSamplesError("samples: a confidence interval needs n >= 2")
+    level = check_real(level, "level", 0.0, 1.0)
     n = x.size
     m = float(x.mean())
     sd = float(x.std(ddof=1))
@@ -398,10 +367,10 @@ def shapiro_wilk(samples) -> NormalityReport:
     Supports 3 <= n <= 5000, the validity range of the polynomial
     approximations for the weights and the p-value transform.
     """
-    x = np.sort(_finite_samples(samples))
+    x = np.sort(check_finite(samples, "samples"))
     n = x.size
     if not 3 <= n <= 5000:
-        raise SampleSizeOutOfRangeError(f"Shapiro-Wilk supports 3 <= n <= 5000, got {n}")
+        raise SampleSizeOutOfRangeError(f"samples: Shapiro-Wilk supports 3 <= n <= 5000, got {n}")
     if x[0] == x[-1]:
         raise DegenerateVarianceError("Shapiro-Wilk is undefined for a constant sample")
 

@@ -28,7 +28,9 @@ from calibench.errors import (
     CalibrationWarning,
     DegenerateLabelsError,
     LengthMismatchError,
+    NonFiniteScoreError,
     NotConvergedError,
+    ProbabilityOutOfRangeError,
 )
 
 from oracles import brute_force_isotonic, full_knot_isotonic_lookup, masked_sigmoid
@@ -338,6 +340,16 @@ def test_isotonic_map_validates_structure():
         IsotonicMap(knots=np.array([1.0, 2.0]), values=np.array([0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_isotonic_map_rejects_non_finite_knots_and_values(bad):
+    # a NaN knot fails every comparison of the increasing check, so such a map
+    # used to load, and applying it lost the level at that knot
+    with pytest.raises(NonFiniteScoreError, match="^knots must be finite"):
+        IsotonicMap([0.0, bad, 1.0], [0.1, 0.5, 0.9])
+    with pytest.raises(ProbabilityOutOfRangeError, match="^values must lie in"):
+        IsotonicMap([0.0, 0.5, 1.0], [0.1, bad, 0.9])
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -366,5 +378,6 @@ def test_map_json_rejects_unknown_payload():
     # a non-finite parameter would send scores to NaN or to exactly 0 or 1
     for bad in ("inf", "-inf", None):
         for body in ({"A": bad, "B": 0.0}, {"A": 1.0, "B": bad}):
-            with pytest.raises(ValueError, match="a Platt map needs finite A and B"):
+            name = "A" if body["A"] == bad else "B"
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
                 map_from_json({"platt": body})

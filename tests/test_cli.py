@@ -389,7 +389,7 @@ def test_compare_on_undefined_metric_values_is_data_error(results_file, capsys, 
 def test_compare_rejects_bad_alpha_before_reading(tmp_path, capsys):
     absent = tmp_path / "absent.json"
     assert run_cli("compare", "--results", str(absent), "--alpha", "1.5") == 1
-    assert "--alpha must be in (0, 1)" in capsys.readouterr().err
+    assert "--alpha must be a number in (0, 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -565,7 +565,7 @@ def test_convergence_usage_errors_leave_no_output(tmp_path, capsys):
         (["--trials", "5"], "--trials must be >= 10"),
         (["--seed", "-1"], "--seed must be >= 0"),
         (["--g-star", "wiggly"], "unknown --g-star"),
-        (["--g-star", "constant:1.5"], "must be in [0, 1]"),
+        (["--g-star", "constant:1.5"], "must be a number in [0, 1]"),
         (["--g-star", "constant:x"], "bad constant level"),
     ]
     for extra, needle in cases:

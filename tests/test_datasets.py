@@ -299,6 +299,16 @@ def test_select_features():
         select_features(data, [])
 
 
+@pytest.mark.parametrize("indices", [[0.5, 1.7], [0.9], [True, False], np.array([[0, 1]])])
+def test_row_and_column_selection_reject_non_integer_indices(indices):
+    # a fraction used to be truncated (rows 0 and 1, column x1) and a bool
+    # taken as 0 or 1
+    data = generate_synthetic(SyntheticConfig(n=20, d=3, seed=2))
+    for select in (subset, select_features):
+        with pytest.raises(ValueError, match="^indices must be a 1-D vector of integers"):
+            select(data, indices)
+
+
 def test_noise_only_feature_gives_chance_accuracy():
     data = generate_synthetic(SyntheticConfig(n=4000, d=10, seed=11))
     noise_only = select_features(data, [9])

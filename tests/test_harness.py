@@ -692,6 +692,27 @@ def test_bootstrap_ci_validates_input():
         bootstrap_metric_ci(probs, labels, draws=0)
 
 
+# bootstrap_metric_ci at the last change before the draws of brier, log_loss
+# and auc called the metrics' kernels: (mean, lower, upper) as float.hex
+BOOTSTRAP_PINS = {
+    "auc": ("0x1.d00e025ae0eeap-1", "0x1.b746dd1dbabefp-1", "0x1.e50bd4d042866p-1"),
+    "brier": ("0x1.1a9fb946f3c51p-3", "0x1.d7aa7b5c3e1f3p-4", "0x1.485b7d30399acp-3"),
+    "ece": ("0x1.43be7e82a6294p-3", "0x1.008b5feafc4c2p-3", "0x1.ae95cbf96bc3ep-3"),
+    "log_loss": ("0x1.b6a17ca322366p-2", "0x1.7d47c50305911p-2", "0x1.ef2d22c1c4e9dp-2"),
+    "mce": ("0x1.b670ae7ba7364p-2", "0x1.1649d2c1d76fap-2", "0x1.48d12b8a1d72fp-1"),
+    "reliability": ("0x1.af10605f5675bp-1", "0x1.945a8d01a50f1p-1", "0x1.bfdd280540ed0p-1"),
+}
+
+
+@pytest.mark.parametrize("metric", sorted(BOOTSTRAP_PINS))
+def test_bootstrap_intervals_are_pinned_bit_for_bit(metric):
+    rng = np.random.default_rng(2024)
+    probs = rng.random(200)
+    labels = (rng.random(200) < probs ** 2).astype(np.int64)
+    ci = bootstrap_metric_ci(probs, labels, metric=metric, draws=1000, seed=11)
+    assert (ci.mean.hex(), ci.lower.hex(), ci.upper.hex()) == BOOTSTRAP_PINS[metric]
+
+
 def test_bootstrap_ci_skips_undefined_draws():
     # AUC is undefined on single-class resamples; with tiny n those happen
     rng = np.random.default_rng(3)
@@ -819,7 +840,7 @@ def test_bootstrap_ci_propagates_non_metric_errors(monkeypatch):
     from calibench import metrics
 
     calls = []
-    real_brier = metrics.brier
+    real_brier = metrics._brier  # the point estimate and every draw score with it
 
     def brier_failing_on_draws(p, y):
         calls.append(1)
@@ -827,7 +848,7 @@ def test_bootstrap_ci_propagates_non_metric_errors(monkeypatch):
             raise RuntimeError("planted failure")
         return real_brier(p, y)
 
-    monkeypatch.setattr(metrics, "brier", brier_failing_on_draws)
+    monkeypatch.setattr(metrics, "_brier", brier_failing_on_draws)
     rng = np.random.default_rng(4)
     probs = rng.random(50)
     labels = (rng.random(50) < probs).astype(np.int64)

@@ -59,9 +59,27 @@ def test_cdfs_reject_a_nan_x_as_bad_input():
     # not NotConvergedError, which the CLI reports as a numerical failure
     with pytest.raises(ValueError, match="^x must be a number, got nan"):
         t_cdf(float("nan"), 5)
-    with pytest.raises(ValueError, match=r"^chi-square requires x >= 0, got nan"):
+    with pytest.raises(ValueError, match=r"^x must be a number >= 0, got nan"):
         chi2_cdf(float("nan"), 5)
     assert t_cdf(math.inf, 5) == 1.0 and t_cdf(-math.inf, 5) == 0.0
+
+
+def test_chi2_cdf_at_infinity_is_one():
+    # the continued fraction used to run out of iterations: NotConvergedError, exit 3
+    assert chi2_cdf(math.inf, 1) == 1.0 and chi2_cdf(math.inf, 30) == 1.0
+
+
+def test_t_cdf_rejects_infinite_degrees_of_freedom_by_name():
+    # int(inf) used to raise OverflowError
+    with pytest.raises(InvalidDFError, match="^df must be an integer >= 1, got inf"):
+        t_cdf(1.0, float("inf"))
+
+
+def test_normal_cdf_rejects_a_nan_x_by_name():
+    # it used to return NaN
+    with pytest.raises(ValueError, match="^x must be a number, got nan"):
+        normal_cdf(float("nan"))
+    assert normal_cdf(math.inf) == 1.0 and normal_cdf(-math.inf) == 0.0
 
 
 def test_chi2_cdf_matches_scipy_grid():
