@@ -223,7 +223,9 @@ def check_counts(obj) -> None:
 def check_indices(values, name: str, bound: int) -> np.ndarray:
     """``values`` as a 1-D intp array if every entry is an integer (a bool,
     a fraction, NaN or +-inf is not: ValueError) in [0, bound) (else
-    IndexOutOfRangeError)."""
+    IndexOutOfRangeError).  NumPy reads bools among ints in a list as ints."""
+    if isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise ValueError(f"{name} must be a 1-D vector of integers, got a bool among them")
     arr = np.asarray(values)
     if arr.size == 0:
         arr = arr.astype(np.intp)

@@ -62,10 +62,9 @@ from .errors import (
     IncompleteRecordsError,
     InvalidSpecError,
     SchemaVersionMismatchError,
-    SingleClassError,
     TooFewSamplesError,
 )
-from .metrics import MetricReport, ece, metric_report
+from .metrics import MetricReport, _resampled, auc, brier, ece, log_loss, mce, metric_report
 from .models import fit_forest, fit_logistic, score_dataset
 from .stats import (
     IntervalEstimate,
@@ -112,17 +111,8 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
-# MetricReport fields that aggregates and comparisons range over
-AGGREGATE_METRICS = (
-    "ece",
-    "mce",
-    "brier",
-    "log_loss",
-    "auc",
-    "reliability",
-    "hl_statistic",
-    "hl_p_value",
-)
+# MetricReport's float fields, in order: what aggregates and comparisons range over
+AGGREGATE_METRICS = tuple(f.name for f in dataclasses.fields(MetricReport) if f.type == "float")
 
 # metrics whose pairwise comparisons a benchmark run emits by default
 DEFAULT_COMPARISON_METRICS = ("ece", "brier")
@@ -742,9 +732,9 @@ def bootstrap_metric_ci(
 
     Draw ``i`` resamples with the ``i``-th of successive
     ``rng.integers(0, n, size=n)`` calls; they are drawn as rows of
-    ``(rows, n)`` blocks, which is the same stream.  ECE, MCE and
-    reliability score a whole block at once, and the other metrics each
-    resample, bit for bit as the public functions score it.
+    ``(rows, n)`` blocks, which is the same stream.  Every metric scores
+    a whole block at once, each row bit for bit as the public function
+    scores that resample.
     """
     if metric not in _BOOTSTRAP_METRICS:
         raise ValueError(f"unknown metric {metric!r}; valid: {', '.join(_BOOTSTRAP_METRICS)}")
@@ -767,48 +757,21 @@ def bootstrap_metric_ci(
 def _bootstrap_samples(probs, labels, metric: str, bins: int, draws: int, seed: int):
     """``(point estimate, array of the defined draws' values)`` for
     :func:`bootstrap_metric_ci`, whose other arguments are already checked.
-    The public metric that gives the point estimate checks the pairs, and
-    the draws score them with its kernel."""
-    from . import metrics as _metrics
-
+    The public metric that gives the point estimate checks the pairs."""
+    public = {"auc": auc, "brier": brier, "log_loss": log_loss, "mce": mce}.get(metric, ece)
     binned = metric in ("ece", "mce", "reliability")
-    public = getattr(_metrics, "ece" if metric == "reliability" else metric)
     point = public(probs, labels, bins=bins) if binned else public(probs, labels)
-    p = np.ascontiguousarray(probs, dtype=np.float64)
-    y = np.asarray(labels).astype(np.int64)
-    if binned:
-        _, bin_of = _metrics._bin_of(p, bins)
-        y_float = y.astype(np.float64)
-
-        def score_block(rows):
-            ece, mce = _metrics._resampled_ece_mce(p, y_float, bin_of, bins, rows)
-            return mce if metric == "mce" else ece
-    else:
-        kernel = {
-            "brier": _metrics._brier,
-            "log_loss": lambda p, y: _metrics._log_loss(p, y, 1e-15),
-            "auc": lambda s, y: _metrics._auc(s, y, _metrics._stable_order(s)),
-        }[metric]
-
-        def score_block(rows):
-            values = []
-            for idx in rows:
-                try:
-                    values.append(kernel(p[idx], y[idx]))
-                except SingleClassError:
-                    continue
-            return values
-
-    rng = np.random.default_rng(seed)
-    per_block = max(1, _BLOCK_INDICES // p.size)
-    parts = []
-    for start in range(0, draws, per_block):
-        rows = rng.integers(0, p.size, size=(min(per_block, draws - start), p.size))
-        parts.append(score_block(rows))
-    samples = np.concatenate(parts)
     if metric == "reliability":
-        return 1.0 - point, 1.0 - samples
-    return point, samples
+        point = 1.0 - point
+    n = np.size(probs)
+    rng = np.random.default_rng(seed)
+    per_block = max(1, _BLOCK_INDICES // n)
+    blocks = (
+        rng.integers(0, n, size=(min(per_block, draws - start), n))
+        for start in range(0, draws, per_block)
+    )
+    samples = _resampled(metric, probs, labels, bins, blocks)
+    return point, samples[~np.isnan(samples)]
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,33 @@ def mce(probs, labels, bins: int = 10) -> float:
     return reliability_bins(probs, labels, bins).mce()
 
 
+def _resampled(metric: str, probs, labels, bins: int, blocks):
+    """Value of ``metric``, one of ``bootstrap_metric_ci``'s, on each resample
+    ``(p[r], y[r])`` of checked pairs for the rows ``r`` of each index block
+    in ``blocks``, in order; NaN for an AUC on one class.  Each equals the
+    public metric's value on its resample bit for bit: a row mean along the
+    contiguous last axis adds as the 1-D mean does, and :func:`_auc` and
+    :func:`_resampled_ece_mce` say why theirs do."""
+    p = np.ascontiguousarray(probs, dtype=np.float64)
+    y = np.asarray(labels).astype(np.int64)
+    if metric in ("ece", "mce", "reliability"):
+        _, bin_of = _bin_of(p, bins)
+        y_float = y.astype(np.float64)
+    values = []
+    for rows in blocks:
+        if metric == "brier":
+            values.append(_brier(p[rows], y[rows]))
+        elif metric == "log_loss":
+            values.append(_log_loss(p[rows], y[rows], 1e-15))
+        elif metric == "auc":
+            by_score = np.take_along_axis(rows, np.argsort(p[rows], axis=-1), -1)
+            values.append(_auc(p[by_score], y[by_score]))
+        else:
+            e, m = _resampled_ece_mce(p, y_float, bin_of, bins, rows)
+            values.append({"ece": e, "mce": m, "reliability": 1.0 - e}[metric])
+    return np.concatenate(values)
+
+
 def _resampled_ece_mce(p, y, bin_of, bins: int, rows):
     """ECE and MCE of each resample ``(p[r], y[r])`` for the rows ``r`` of the
     index array ``rows``, from validated pairs and their bins ``bin_of``.
@@ -164,22 +191,24 @@ def _resampled_ece_mce(p, y, bin_of, bins: int, rows):
 
 def brier(probs, labels) -> float:
     """Mean squared error between probabilities and binary outcomes."""
-    return _brier(*check_pairs(probs, labels))
+    return float(_brier(*check_pairs(probs, labels)))
 
 
-def _brier(p, y) -> float:
-    return float(np.mean((p - y) ** 2))
+def _brier(p, y):
+    """Brier score of validated pairs, or of each row of ``(k, n)`` blocks."""
+    return np.mean((p - y) ** 2, axis=-1)
 
 
 def log_loss(probs, labels, epsilon: float = 1e-15) -> float:
     """Mean negative log-likelihood with probabilities clipped to [eps, 1-eps]."""
     p, y = check_pairs(probs, labels)
-    return _log_loss(p, y, check_real(epsilon, "epsilon", 0.0, 0.5))
+    return float(_log_loss(p, y, check_real(epsilon, "epsilon", 0.0, 0.5)))
 
 
-def _log_loss(p, y, epsilon: float) -> float:
+def _log_loss(p, y, epsilon: float):
+    """Log loss of validated pairs, or of each row of ``(k, n)`` blocks."""
     q = np.clip(p, epsilon, 1.0 - epsilon)
-    return float(-np.mean(y * np.log(q) + (1 - y) * np.log1p(-q)))
+    return -np.mean(y * np.log(q) + (1 - y) * np.log1p(-q), axis=-1)
 
 
 def auc(scores, labels) -> float:
@@ -189,7 +218,8 @@ def auc(scores, labels) -> float:
     strictly increasing transform of the scores.  Scores must be finite.
     """
     s, y = check_pairs(scores, labels, "scores", check_finite, 0)
-    return _auc(s, y, _stable_order(s))
+    order = np.argsort(s)
+    return float(_auc(s[order], y[order]))
 
 
 def _stable_order(p) -> np.ndarray:
@@ -199,13 +229,10 @@ def _stable_order(p) -> np.ndarray:
     no two equal neighbours.  Otherwise the stable argsort of the dense
     ranks from that sort is; with at most 65,536 levels the ranks are
     ``uint16``, which NumPy radix-sorts faster than it merge-sorts floats.
-    NaNs sort last and tie with each other, as they do in a merge sort.
     """
     order = np.argsort(p)
     sorted_p = p[order]
     rises = sorted_p[1:] != sorted_p[:-1]
-    if p.size and np.isnan(sorted_p[-1]):
-        rises[np.flatnonzero(np.isnan(sorted_p))[0]:] = False
     if rises.all():
         return order
     levels = int(np.count_nonzero(rises)) + 1
@@ -215,22 +242,29 @@ def _stable_order(p) -> np.ndarray:
     return np.argsort(ranks, kind="stable")
 
 
-def _auc(s, y, order) -> float:
-    """AUC of validated pairs; ``order`` sorts ``s``.  Tied scores share a
-    mid-rank, so any sorting order gives the same AUC."""
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+def _auc(sorted_s, sorted_y):
+    """AUC of validated pairs sorted by score along the last axis: of one
+    1-D pair (SingleClassError if it holds one class), or of each row of a
+    ``(k, n)`` block (NaN for a row that holds one class).
+
+    A tie group of ``m`` scores from 0-based place ``a`` of its row shares
+    the mid-rank ``a + (m + 1)/2``.  Twice every rank sum is an integer,
+    exact in any order of addition, so each AUC is one rounding of an exact
+    ratio, and a row's AUC equals that of its pairs alone bit for bit.
+    """
+    n = sorted_s.shape[-1]
+    n_pos = sorted_y.sum(axis=-1)
+    pairs = n_pos * (n - n_pos)
+    if sorted_s.ndim == 1 and pairs == 0:
         raise SingleClassError("labels: AUC needs at least one positive and one negative label")
-    ranks = np.empty(s.size, dtype=np.float64)
-    sorted_scores = s[order]
-    # mid-ranks: average the 1-based positions within each tie group
-    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [s.size]))
-    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
-    rank_sum_pos = float(ranks[y == 1].sum())
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    first = np.empty(sorted_s.shape, dtype=bool)  # True where a tie group starts
+    first[..., 0] = True
+    np.not_equal(sorted_s[..., 1:], sorted_s[..., :-1], out=first[..., 1:])
+    starts = np.flatnonzero(first)
+    sizes = np.append(starts[1:], sorted_s.size) - starts
+    twice_ranks = np.repeat(2 * (starts % n) + sizes + 1, sizes).reshape(sorted_s.shape)
+    twice_u = (twice_ranks * sorted_y).sum(axis=-1) - n_pos * (n_pos + 1)
+    return np.divide(twice_u, 2 * pairs, out=np.full(pairs.shape, np.nan), where=pairs > 0)
 
 
 def hosmer_lemeshow(probs, labels, groups: int = 10):
@@ -310,9 +344,9 @@ def metric_report(probs, labels, bins: int = 10, hl_groups: int = 10) -> MetricR
     return MetricReport(
         ece=e,
         mce=bin_stats.mce(),
-        brier=_brier(p, y),
-        log_loss=_log_loss(p, y, 1e-15),
-        auc=_auc(p, y, order),
+        brier=float(_brier(p, y)),
+        log_loss=float(_log_loss(p, y, 1e-15)),
+        auc=float(_auc(p[order], y[order])),
         reliability=1.0 - e,
         hl_statistic=hl_stat,
         hl_p_value=hl_p,

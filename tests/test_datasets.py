@@ -309,6 +309,15 @@ def test_row_and_column_selection_reject_non_integer_indices(indices):
             select(data, indices)
 
 
+@pytest.mark.parametrize("indices", [[True, 2], (2, False), [1, np.True_]])
+def test_row_and_column_selection_reject_a_bool_among_integers(indices):
+    # NumPy reads [True, 2] as the integers [1, 2], so subset took rows 1 and 2
+    data = generate_synthetic(SyntheticConfig(n=20, d=3, seed=2))
+    for select in (subset, select_features):
+        with pytest.raises(ValueError, match="^indices must be .* integers, got a bool among them"):
+            select(data, indices)
+
+
 def test_noise_only_feature_gives_chance_accuracy():
     data = generate_synthetic(SyntheticConfig(n=4000, d=10, seed=11))
     noise_only = select_features(data, [9])

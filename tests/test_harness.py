@@ -215,6 +215,13 @@ def test_benchmark_records_independent_of_method_set():
     assert full_uncal == solo_uncal
 
 
+def test_aggregate_metrics_are_the_report_floats_in_field_order():
+    # results files store aggregates in this order; compare_methods names it
+    assert AGGREGATE_METRICS == (
+        "ece", "mce", "brier", "log_loss", "auc", "reliability", "hl_statistic", "hl_p_value",
+    )
+
+
 def test_benchmark_aggregates_recomputable():
     table = run_repeated_cv(small_config())
     assert len(table.aggregates) == 3 * len(AGGREGATE_METRICS)

@@ -30,7 +30,7 @@ from calibench.errors import (
     SingleClassError,
     TooFewGroupsError,
 )
-from calibench.metrics import _stable_order
+from calibench.metrics import _auc, _brier, _log_loss, _stable_order
 
 from oracles import slow_auc, slow_ece, slow_mce, slow_metric_report, slow_reliability
 
@@ -149,6 +149,31 @@ def test_auc_mid_ranks_match_scipy_rankdata_under_heavy_ties():
         n_neg = n - n_pos
         expected = (float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         assert auc(scores, labels) == expected
+
+
+@pytest.mark.parametrize("n, k", [(6, 300), (1000, 20)])
+def test_block_kernels_score_each_row_as_the_public_metric_on_it(n, k):
+    # the bootstrap scores (k, n) blocks of resamples; tied levels, 0 and 1
+    # among them, and at n = 6 single-class rows, where auc raises
+    rng = np.random.default_rng(n)
+    probs = rng.choice([0.0, 0.1, 0.35, 0.8, 1.0], n)
+    labels = (rng.random(n) < 0.3).astype(np.int64)
+    rows = rng.integers(0, n, size=(k, n))
+    p, y = probs[rows], labels[rows]
+    order = np.argsort(p, axis=-1)
+    aucs = _auc(np.take_along_axis(p, order, -1), np.take_along_axis(y, order, -1))
+    briers, losses = _brier(p, y), _log_loss(p, y, 1e-15)
+    assert aucs.shape == briers.shape == losses.shape == (k,)
+    undefined = 0
+    for i in range(k):
+        assert briers[i].hex() == brier(p[i], y[i]).hex()
+        assert losses[i].hex() == log_loss(p[i], y[i]).hex()
+        try:
+            assert aucs[i].hex() == auc(p[i], y[i]).hex()
+        except SingleClassError:
+            assert math.isnan(aucs[i])
+            undefined += 1
+    assert (undefined > 0) == (n == 6)
 
 
 def test_mce_dominates_ece_everywhere():
@@ -296,18 +321,6 @@ def test_metric_report_matches_the_merge_sort_oracle_on_many_tied_levels(levels)
     assert np.unique(probs).size == levels
     np.testing.assert_array_equal(_stable_order(probs), np.argsort(probs, kind="mergesort"))
     _assert_same_report(metric_report(probs, labels), slow_metric_report(probs, labels))
-
-
-def test_stable_order_keeps_nans_in_input_order():
-    # auc accepts NaN scores; each takes its own rank by its sorted place
-    rng = np.random.default_rng(71)
-    distinct = rng.random(2000)
-    distinct[rng.random(distinct.size) < 0.3] = np.nan
-    tied = distinct.copy()
-    tied[:10] = 0.5
-    small = np.array([np.nan, 2.0, np.nan, 0.0, -0.0, 2.0, np.inf, np.nan])
-    for scores in (distinct, tied, small):
-        np.testing.assert_array_equal(_stable_order(scores), np.argsort(scores, kind="mergesort"))
 
 
 # ---------------------------------------------------------------------------
