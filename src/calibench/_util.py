@@ -47,8 +47,11 @@ def mix_seed(*parts: int) -> int:
     return acc
 
 
-def readonly(arr: np.ndarray) -> np.ndarray:
-    """Return ``arr`` with its write flag cleared (immutability guard)."""
+def readonly(arr: np.ndarray, given=None) -> np.ndarray:
+    """``arr`` with its write flag cleared, for a record to hold: a copy if
+    ``arr`` is ``given``, the caller's own array, which stays writable."""
+    if arr is given:
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -220,10 +223,10 @@ def check_counts(obj) -> None:
             object.__setattr__(obj, field.name, value)
 
 
-def check_indices(values, name: str, bound: int) -> np.ndarray:
-    """``values`` as a 1-D intp array if every entry is an integer (a bool,
-    a fraction, NaN or +-inf is not: ValueError) in [0, bound) (else
-    IndexOutOfRangeError).  NumPy reads bools among ints in a list as ints."""
+def check_ints(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D intp array (the array itself if it is one) if
+    every entry is an integer; a bool, a fraction, NaN or +-inf is not:
+    ValueError.  NumPy reads bools among ints in a list as ints."""
     if isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values):
         raise ValueError(f"{name} must be a 1-D vector of integers, got a bool among them")
     arr = np.asarray(values)
@@ -231,9 +234,15 @@ def check_indices(values, name: str, bound: int) -> np.ndarray:
         arr = arr.astype(np.intp)
     if arr.ndim != 1 or arr.dtype.kind not in "iu":
         raise ValueError(f"{name} must be a 1-D vector of integers, got {arr.dtype} {arr.shape}")
+    return arr.astype(np.intp, copy=False)
+
+
+def check_indices(values, name: str, bound: int) -> np.ndarray:
+    """:func:`check_ints` of entries in [0, bound), else IndexOutOfRangeError."""
+    arr = check_ints(values, name)
     if arr.size and (arr.min() < 0 or arr.max() >= bound):
         raise IndexOutOfRangeError(f"{name} must lie in [0, {bound}), got {arr.min()}..{arr.max()}")
-    return arr.astype(np.intp, copy=False)
+    return arr
 
 
 def check_type(value, kind, name: str):

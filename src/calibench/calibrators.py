@@ -70,7 +70,7 @@ class ScoreSet:
 
     def __post_init__(self):
         s, y = check_pairs(self.scores, self.labels, "scores", check_finite, 0)
-        object.__setattr__(self, "scores", readonly(s))
+        object.__setattr__(self, "scores", readonly(s, self.scores))
         object.__setattr__(self, "labels", readonly(y))
 
     def __reduce__(self):
@@ -124,8 +124,8 @@ class IsotonicMap:
             raise ValueError("knots must be strictly increasing")
         if (np.diff(v) < 0).any():
             raise ValueError("values must be non-decreasing")
-        object.__setattr__(self, "knots", readonly(k))
-        object.__setattr__(self, "values", readonly(v))
+        object.__setattr__(self, "knots", readonly(k, self.knots))
+        object.__setattr__(self, "values", readonly(v, self.values))
 
 
 @dataclass(frozen=True)

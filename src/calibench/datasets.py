@@ -95,7 +95,7 @@ class Dataset:
         names = tuple(str(c) for c in self.feature_names)
         if len(names) != x.shape[1]:
             raise ValueError(f"{len(names)} feature names for {x.shape[1]} feature columns")
-        object.__setattr__(self, "features", readonly(x))
+        object.__setattr__(self, "features", readonly(x, self.features))
         object.__setattr__(self, "labels", readonly(y))
         object.__setattr__(self, "feature_names", names)
 

@@ -197,7 +197,8 @@ class ExperimentConfig:
     """Everything a benchmark run depends on.
 
     ``feature_mode`` is ``"full"``, ``"informative"`` (the first two
-    columns), or an explicit tuple of column indices.
+    columns), or an explicit tuple of distinct column indices, at least one;
+    an index beyond the data's columns shows only once the data is built.
     """
 
     source: SyntheticConfig | CsvSource | ScoreFileSource
@@ -230,9 +231,11 @@ class ExperimentConfig:
                 )
         else:
             indices = tuple(self.feature_mode)
-            if any(type(i) is not int for i in indices) or len(set(indices)) != len(indices):
+            valid = all(type(i) is int and i >= 0 for i in indices)
+            if not indices or not valid or len(set(indices)) != len(indices):
                 raise ValueError(
-                    f"feature_mode indices must be distinct integers, got {self.feature_mode!r}"
+                    f"feature_mode indices must be distinct integers >= 0, at least one, "
+                    f"got {self.feature_mode!r}"
                 )
             object.__setattr__(self, "feature_mode", indices)
         check_counts(self)
@@ -370,7 +373,7 @@ def run_enhanced_calibration(data: Dataset, model_spec, seed: int) -> PipelineAr
     full calibration split, and reports held-out test metrics.
     """
     counts = np.bincount(check_type(data, Dataset, "data").labels, minlength=2)
-    seed = check_int(seed, "seed")
+    seed = check_int(seed, "seed", 0)
     if counts.min() < 3:
         raise TooFewSamplesError(
             f"each class needs >= 3 samples, got {counts[0]} neg / {counts[1]} pos"
@@ -663,7 +666,7 @@ def run_convergence_study(g_star, sizes, trials: int, seed: int) -> ConvergenceS
     least-squares slope of log(mean error) against log(n).
     """
     sizes = tuple(check_int(n, "sizes") for n in sizes)
-    trials, seed = check_int(trials, "trials"), check_int(seed, "seed")
+    trials, seed = check_int(trials, "trials"), check_int(seed, "seed", 0)
     if len(sizes) < 4:
         raise InvalidSpecError(f"need >= 4 sample sizes, got {len(sizes)}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

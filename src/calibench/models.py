@@ -36,7 +36,7 @@ feature predicts NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.typing as npt
@@ -45,8 +45,8 @@ from .calibrators import ScoreSet
 from .datasets import Dataset
 from .errors import MalformedModelError, SingleClassError
 from ._util import (
-    check_finite, check_int, check_real, check_rows, check_type, damped_newton,
-    from_json, readonly, sigmoid, to_json,
+    check_counts, check_finite, check_int, check_ints, check_real, check_rows, check_type,
+    damped_newton, from_json, readonly, sigmoid, to_json,
 )
 
 __all__ = [
@@ -79,7 +79,8 @@ class LogisticModel:
     final_gradient_norm: float
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", readonly(check_finite(self.weights, "weights")))
+        weights = check_finite(self.weights, "weights")
+        object.__setattr__(self, "weights", readonly(weights, self.weights))
         check_real(self.bias, "bias")
         check_real(self.inverse_reg_strength, "inverse_reg_strength", 0.0)
         check_int(self.iterations_used, "iterations_used", 0)
@@ -99,6 +100,7 @@ class Tree:
     ``count[i]`` of them).  Node 0 is the root.  :func:`fit_forest` numbers
     nodes breadth-first (a split node's children are adjacent, left first);
     prediction accepts any numbering, such as depth-first trees from JSON.
+    Integer arrays take no fraction or bool; :class:`ForestModel` checks the rest.
     """
 
     feature: npt.NDArray[np.intp]
@@ -109,24 +111,68 @@ class Tree:
     count: npt.NDArray[np.intp]
 
     def __post_init__(self):
-        object.__setattr__(self, "feature", readonly(np.asarray(self.feature, dtype=np.intp)))
-        object.__setattr__(self, "threshold", readonly(np.asarray(self.threshold, dtype=np.float64)))
-        object.__setattr__(self, "left", readonly(np.asarray(self.left, dtype=np.intp)))
-        object.__setattr__(self, "right", readonly(np.asarray(self.right, dtype=np.intp)))
-        object.__setattr__(self, "value", readonly(np.asarray(self.value, dtype=np.float64)))
-        object.__setattr__(self, "count", readonly(np.asarray(self.count, dtype=np.intp)))
+        for name in ("feature", "left", "right", "count"):
+            given = getattr(self, name)
+            object.__setattr__(self, name, readonly(check_ints(given, name), given))
+        for name in ("threshold", "value"):
+            given = getattr(self, name)
+            object.__setattr__(self, name, readonly(np.asarray(given, dtype=np.float64), given))
 
 
 @dataclass(frozen=True)
 class ForestModel:
-    """Bagged tree ensemble: predicts the mean of the trees' leaf fractions."""
+    """Bagged tree ensemble: predicts the mean of the trees' leaf fractions.
+
+    Holds only what :func:`predict_forest` can walk to a leaf in every tree
+    and average over them all, else MalformedModelError: ``tree_count``
+    trees, each child's index above its parent's, split features in [0,
+    feature_count), finite thresholds, leaf values in [0, 1], counts >= 0.
+    """
 
     json_kind = "forest"
-    tree_count: int
-    max_depth: int
-    seed: int
-    feature_count: int
+    tree_count: int = field(metadata={"min": 1})
+    max_depth: int = field(metadata={"min": 1})
+    seed: int = field(metadata={"min": 0})
+    feature_count: int = field(metadata={"min": 1})
     trees: tuple[Tree, ...]
+
+    def __post_init__(self):
+        check_counts(self)
+        trees = tuple(check_type(tree, Tree, "trees") for tree in self.trees)
+        object.__setattr__(self, "trees", trees)
+        if self.tree_count != len(trees):
+            raise MalformedModelError(
+                f"tree_count {self.tree_count} does not match the {len(trees)} trees given"
+            )
+        sizes = np.array([tree.feature.size for tree in trees])
+        for index, tree in enumerate(trees):
+            arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.count)
+            if sizes[index] == 0 or any(a.shape != (sizes[index],) for a in arrays):
+                raise MalformedModelError(f"tree {index}: node arrays must share one non-zero length")
+        # each rule below runs over the nodes of every tree, end to end
+        owner = np.repeat(np.arange(len(trees)), sizes)  # each node's tree
+        node = np.arange(owner.size) - (np.cumsum(sizes) - sizes)[owner]  # its index there
+
+        def nodes(name):
+            return np.concatenate([getattr(tree, name) for tree in trees])
+
+        def rule(bad, text):  # a fault names the first tree that has it
+            if bad.any():
+                index = owner[bad.argmax()]
+                raise MalformedModelError(f"tree {index}: " + text.format(sizes[index]))
+
+        feature, left, right = nodes("feature"), nodes("left"), nodes("right")
+        split, leaf = feature >= 0, feature < 0
+        rule((split & (feature >= self.feature_count)) | (leaf & (feature != -1)),
+             f"a split feature must lie in [0, {self.feature_count}), a leaf's be -1")
+        rule(leaf & ((left != -1) | (right != -1)), "a leaf's children must both be -1")
+        rule(split & ((np.minimum(left, right) <= node) | (np.maximum(left, right) >= sizes[owner])),
+             "a child's index must exceed its parent's and be < {}")
+        value = nodes("value")
+        rule(leaf & ~((value >= 0.0) & (value <= 1.0)), "a leaf's value must lie in [0, 1]")
+        # NaN compares false, so a NaN threshold would send every row right
+        rule(~np.isfinite(nodes("threshold")), "every threshold must be finite")
+        rule(nodes("count") < 0, "a node's count must be >= 0")
 
 
 _MODELS = (LogisticModel, ForestModel)
@@ -434,13 +480,7 @@ def fit_forest(
         block = range(lo, min(lo + _BLOCK_TREES, tree_count))
         rngs = [np.random.default_rng([seed, t]) for t in block]
         trees += _grow_block(data.features, data.labels, ranks, rngs, max_depth, mtry)
-    return ForestModel(
-        trees=tuple(trees),
-        tree_count=tree_count,
-        max_depth=max_depth,
-        seed=seed,
-        feature_count=data.d,
-    )
+    return ForestModel(tree_count, max_depth, seed, data.d, tuple(trees))
 
 
 def predict_forest(model: ForestModel, features):
@@ -500,47 +540,9 @@ def model_to_json(model) -> dict:
 
 def model_from_json(payload: dict):
     """Inverse of :func:`model_to_json`, strict like the config reader;
-    every fault raises :class:`MalformedModelError`.  A forest loads only if
-    :func:`predict_forest` can walk each tree to a leaf and the mean is over
-    them all: each child's index exceeds its parent's (breadth-first or
-    depth-first numbering), thresholds are finite (a leaf's is 0.0) and
-    counts non-negative."""
+    every fault, such as a forest that :class:`ForestModel` refuses, raises
+    :class:`MalformedModelError`."""
     try:
-        model = from_json(LogisticModel | ForestModel, payload, "model")
+        return from_json(LogisticModel | ForestModel, payload, "model")
     except (KeyError, ValueError) as exc:
         raise MalformedModelError(exc.args[0]) from None
-    if isinstance(model, LogisticModel):
-        return model
-    if not model.trees:
-        raise MalformedModelError("a forest needs at least one tree")
-    if model.tree_count != len(model.trees):
-        raise MalformedModelError(
-            f"tree_count {model.tree_count} does not match the {len(model.trees)} trees given"
-        )
-    for index, tree in enumerate(model.trees):
-        size = tree.feature.size
-        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.count)
-        if size == 0 or any(a.shape != (size,) for a in arrays):
-            raise MalformedModelError(f"tree {index}: node arrays must share one non-zero length")
-        split = tree.feature >= 0
-        if (tree.feature[split] >= model.feature_count).any() or (tree.feature[~split] != -1).any():
-            raise MalformedModelError(
-                f"tree {index}: a split feature must lie in [0, {model.feature_count}), a leaf's be -1"
-            )
-        if (tree.left[~split] != -1).any() or (tree.right[~split] != -1).any():
-            raise MalformedModelError(f"tree {index}: a leaf's children must both be -1")
-        parent = np.flatnonzero(split)
-        for child in (tree.left[split], tree.right[split]):
-            if ((child <= parent) | (child >= size)).any():
-                raise MalformedModelError(
-                    f"tree {index}: a child's index must exceed its parent's and be < {size}"
-                )
-        leaf_value = tree.value[~split]
-        if not ((leaf_value >= 0.0) & (leaf_value <= 1.0)).all():
-            raise MalformedModelError(f"tree {index}: a leaf's value must lie in [0, 1]")
-        # NaN compares false, so a NaN threshold would send every row right
-        if not np.isfinite(tree.threshold).all():
-            raise MalformedModelError(f"tree {index}: every threshold must be finite")
-        if (tree.count < 0).any():
-            raise MalformedModelError(f"tree {index}: a node's count must be >= 0")
-    return model

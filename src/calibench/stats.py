@@ -108,41 +108,43 @@ class NormalityReport:
 # special functions
 # ---------------------------------------------------------------------------
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
+def _lentz(what: str, d: float, c: float, terms) -> float:
+    """Modified Lentz evaluation of a continued fraction.  ``d`` is the
+    first denominator and ``c`` the first ratio; each ``(a, b, last)`` of
+    ``terms`` folds in d = 1/(a*d + b), c = b + a/c (both kept off zero by
+    ``_FPMIN``) and multiplies the convergent by d*c, and the loop stops
+    after a ``last`` term whose factor is within ``_EPS`` of 1."""
     if abs(d) < _FPMIN:
         d = _FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
+    for a, b, last in terms:
+        d = a * d + b
         if abs(d) < _FPMIN:
             d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
+        c = b + a / c
         if abs(c) < _FPMIN:
             c = _FPMIN
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if last and abs(delta - 1.0) < _EPS:
             return h
-    raise NotConvergedError("incomplete beta continued fraction did not converge")
+    raise NotConvergedError(f"{what} continued fraction did not converge")
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta function: two terms per
+    m, the convergence test after the second."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+
+    def terms():
+        for m in range(1, _MAX_ITER + 1):
+            m2 = 2 * m
+            yield m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, False
+            yield -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, True
+
+    return _lentz("incomplete beta", 1.0 - qab * x / qap, 1.0, terms())
 
 
 def _reg_inc_beta(a: float, b: float, x: float) -> float:
@@ -151,14 +153,9 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
     )
-    front = math.exp(ln_front)
     # use the continued fraction on the side where it converges fastest
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
@@ -182,26 +179,14 @@ def _reg_lower_gamma(s: float, x: float) -> float:
             if abs(term) < abs(total) * _EPS:
                 return total * math.exp(ln_pref)
         raise NotConvergedError("incomplete gamma series did not converge")
-    # continued fraction for the upper tail Q(s, x)
+
+    def terms(b):  # of the continued fraction for the upper tail Q(s, x)
+        for i in range(1, _MAX_ITER + 1):
+            b += 2.0  # a running sum: b0 + 2*i can differ in the last bit
+            yield -i * (i - s), b, True
+
     b = x + 1.0 - s
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return 1.0 - math.exp(ln_pref) * h
-    raise NotConvergedError("incomplete gamma continued fraction did not converge")
+    return 1.0 - math.exp(ln_pref) * _lentz("incomplete gamma", b, 1.0 / _FPMIN, terms(b))
 
 
 def normal_cdf(x: float) -> float:

@@ -187,10 +187,19 @@ SMALL_CONFIG = {
             {**SMALL_CONFIG, "model": {"forest": {"depth": -1}}},
             "config.json: model.forest.depth must be an integer >= 1, got -1",
         ),
+        # these were reported as data errors (exit 2) once the data was built
+        (
+            {**SMALL_CONFIG, "feature_mode": []},
+            "feature_mode indices must be distinct integers >= 0, at least one, got ()",
+        ),
+        (
+            {**SMALL_CONFIG, "feature_mode": [-1, 0]},
+            "feature_mode indices must be distinct integers >= 0, at least one, got (-1, 0)",
+        ),
     ],
     ids=[
         "unknown-key", "unknown-model-key", "float-count", "bool-count", "array",
-        "string-methods", "zero-trees", "negative-depth",
+        "string-methods", "zero-trees", "negative-depth", "no-features", "negative-feature",
     ],
 )
 def test_benchmark_rejects_malformed_config_values(tmp_path, capsys, payload, message):
@@ -201,6 +210,16 @@ def test_benchmark_rejects_malformed_config_values(tmp_path, capsys, payload, me
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert not out.exists()
+
+
+def test_benchmark_feature_index_beyond_the_data_is_a_data_error(tmp_path, capsys):
+    # the config cannot know the data's width, so the run finds it
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**SMALL_CONFIG, "feature_mode": [0, 3]}))
+    out = tmp_path / "results.json"
+    assert run_cli("benchmark", "--config", str(config_path), "--out", str(out)) == 2
+    assert "indices must lie in [0, 3), got 0..3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -697,6 +716,25 @@ def test_readme_logreg_benchmark_results_are_pinned(tmp_path):
     assert run_cli("benchmark", "--config", str(config_path), "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "7c87008a45988e8fabeb18406962fd2ba6e701f889874a1fc76fee1ea84a88c7"
+    )
+    # the paired comparisons of those results: their p-values come from t_cdf
+    comparison = tmp_path / "comparison.json"
+    assert run_cli(
+        "compare", "--results", str(out), "--metric", "ece", "--out", str(comparison)
+    ) == 0
+    assert hashlib.sha256(comparison.read_bytes()).hexdigest() == (
+        "132e808f1eb51cedf23103aab55900060be148e470bb89948ce3db879bf5dfcf"
+    )
+
+
+def test_convergence_study_output_is_pinned(tmp_path):
+    out = tmp_path / "study.json"
+    assert run_cli(
+        "convergence", "--sizes", "50,100,1000,5000", "--trials", "10", "--seed", "3",
+        "--out", str(out),
+    ) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "21e3d9095696858f8b341c4b852d5cb07f47470a108a72d6b29c0dd83a0194d0"
     )
 
 

@@ -18,8 +18,10 @@ that has no partner cut short, +-inf where a CDF takes its limit, NaN or
 exactly the NaN rows to NaN and every other row into [0, 1].
 
 The result records (the dataclasses that hold what a function returned,
-such as ``MetricReport`` or ``Tree``) take no bad arguments here: they
-hold what they are given, and are called with their own fields.
+such as ``MetricReport`` or ``Tree``) are called with their own fields.
+``ForestModel`` takes bad counts here, as an input dataclass does; the
+others hold what they are given.  A record that holds an array keeps a
+read-only one of its own, and copies the caller's array rather than lock it.
 """
 
 import dataclasses
@@ -36,15 +38,20 @@ from hypothesis import strategies as st
 import calibench
 from calibench import (
     CsvSource,
+    Dataset,
     ExperimentConfig,
     ExternalSpec,
     ForestSpec,
     IdentityMap,
+    IsotonicMap,
+    LogisticModel,
     LogregSpec,
+    Provenance,
     ScoreFilePair,
     ScoreFileSource,
     ScoreSet,
     SyntheticConfig,
+    Tree,
     config_to_json,
     fit_forest,
     fit_isotonic,
@@ -99,6 +106,10 @@ KINDS = {
     "fit_forest": {
         "data": "dataset", "tree_count": ("count", 1), "max_depth": ("count", 1), "seed": ("count", 0),
     },
+    "ForestModel": {
+        "tree_count": ("count", 1), "max_depth": ("count", 1), "seed": ("count", 0),
+        "feature_count": ("count", 1),
+    },
     "predict_forest": {"features": "rows"},
     "score_dataset": {"data": "dataset"},
     "ece": {"probs": "probs", "labels": "labels", "bins": ("count", 1)},
@@ -126,9 +137,9 @@ KINDS = {
         "folds": ("count", 2), "repeats": ("count", 1), "bins": ("count", 1),
         "base_seed": ("count", 0), "family_alpha": "real",
     },
-    "run_enhanced_calibration": {"data": "dataset", "seed": ("count", None)},
+    "run_enhanced_calibration": {"data": "dataset", "seed": ("count", 0)},
     "compare_methods": {"family_alpha": "real"},
-    "run_convergence_study": {"sizes": "sizes", "trials": ("count", 10), "seed": ("count", None)},
+    "run_convergence_study": {"sizes": "sizes", "trials": ("count", 10), "seed": ("count", 0)},
     "bootstrap_metric_ci": {
         "probs": "probs", "labels": "labels", "bins": ("count", 1), "level": "real",
         "draws": ("count", 1), "seed": ("count", 0),
@@ -388,3 +399,37 @@ def test_a_call_returns_a_valid_result_or_names_its_bad_argument(name, data, tmp
         for mutation, make, must_raise in _mutations(kind, value, _partnered(name, kind)):
             at = data.draw(st.integers(0, max(size - 1, 0)), label=f"{param} {mutation} at")
             _check(name, {**valid, param: make(at)}, param, mutation, must_raise)
+
+
+STUMP = {
+    "feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+    "right": [2, -1, -1], "value": [0.0, 0.25, 0.75], "count": [4, 2, 2],
+}
+# (record, the field given the caller's array, a valid array for it, the rest
+# of a valid call)
+HELD = [
+    (ScoreSet, "scores", [0.2, 0.7, 0.4], {"labels": [0, 1, 0]}),
+    (Dataset, "features", [[0.2, 1.0], [0.7, 3.0]], {
+        "labels": [0, 1], "feature_names": ("x1", "x2"), "provenance": Provenance.from_seed(0),
+    }),
+    (IsotonicMap, "knots", [0.1, 0.5], {"values": [0.25, 0.75]}),
+    (IsotonicMap, "values", [0.25, 0.75], {"knots": [0.1, 0.5]}),
+    (LogisticModel, "weights", [0.5, -1.0], {
+        "bias": 0.0, "inverse_reg_strength": 1.0, "iterations_used": 3, "final_gradient_norm": 0.0,
+    }),
+] + [
+    (Tree, name, STUMP[name], {k: v for k, v in STUMP.items() if k != name}) for name in STUMP
+]
+
+
+@pytest.mark.parametrize(
+    "record, name, values, rest", HELD, ids=[f"{r.__name__}.{n}" for r, n, _, _ in HELD]
+)
+def test_a_record_copies_the_callers_array_rather_than_lock_it(record, name, values, rest):
+    # the record used to clear the write flag of the caller's own array
+    given = np.array(values, dtype=np.intp if isinstance(values[0], int) else np.float64)
+    held = getattr(record(**{name: given}, **rest), name)
+    assert given.flags.writeable and not held.flags.writeable
+    kept = held.copy()
+    given += 1
+    np.testing.assert_array_equal(held, kept)

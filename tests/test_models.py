@@ -523,6 +523,15 @@ def _set(field, index, value):
     return edit
 
 
+# the JSON reader's own faults, and what the forest built directly says
+_DIRECT = {
+    r"forest\.trees\[0\]\.left\[0\] must be an integer, got 1\.7":
+        r"^left must be a 1-D vector of integers, got float64",
+    r"forest\.trees\[0\]\.count holds a number out of range":
+        r"^count must be a 1-D vector of integers, got object",
+}
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set("left", 0, 0), "exceed its parent"),        # a self-loop: the walk never ends
     (_set("right", 0, 3), "exceed its parent"),       # past the last node
@@ -545,6 +554,34 @@ def test_model_from_json_rejects_a_malformed_tree(edit, message):
     edit(payload["forest"]["trees"][0])
     with _within(5), pytest.raises(errors.MalformedModelError, match=message):
         predict_forest(model_from_json(payload), [[0.2, 0.0], [0.8, 0.0]])
+    # a forest built directly checks itself; it used to walk, or loop, as it was
+    body = payload["forest"]
+    with _within(5), pytest.raises(ValueError, match=_DIRECT.get(message, message)):
+        forest = ForestModel(**{**body, "trees": tuple(Tree(**tree) for tree in body["trees"])})
+        predict_forest(forest, [[0.2, 0.0], [0.8, 0.0]])
+
+
+def test_a_forest_built_directly_checks_its_counts():
+    tree = model_from_json(_stump()).trees[0]
+    # the mean was over tree_count: 0.05 and 0.15 instead of 0.25 and 0.75
+    with pytest.raises(errors.MalformedModelError, match="^tree_count 5 does not match the 1 trees"):
+        ForestModel(tree_count=5, max_depth=1, seed=0, feature_count=2, trees=(tree,))
+    for name, low in (("tree_count", 1), ("max_depth", 1), ("seed", 0), ("feature_count", 1)):
+        counts = {"tree_count": 1, "max_depth": 1, "seed": 0, "feature_count": 2, name: low - 1}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, got {low - 1}"):
+            ForestModel(**counts, trees=(tree,))
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("feature", [0.7, -1, -1]),        # was truncated to 0
+    ("left", [1.9, -1, -1]),           # was truncated to 1
+    ("left", [True, -1, -1]),
+    ("count", np.array([True, False, True])),
+])
+def test_tree_rejects_a_fraction_or_a_bool_among_its_integers(name, bad):
+    tree = _stump()["forest"]["trees"][0]
+    with pytest.raises(ValueError, match=f"^{name} must be a 1-D vector of integers"):
+        Tree(**{**tree, name: bad})
 
 
 def test_model_from_json_rejects_nan_thresholds_from_a_fitted_forest():

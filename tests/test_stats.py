@@ -17,11 +17,13 @@ from calibench import (
     shapiro_wilk,
     t_cdf,
 )
+from calibench import stats
 from calibench.errors import (
     DegenerateVarianceError,
     EmptyFamilyError,
     InvalidDFError,
     LengthMismatchError,
+    NotConvergedError,
     SampleSizeOutOfRangeError,
     TooFewSamplesError,
 )
@@ -103,6 +105,48 @@ def test_invalid_df_rejected():
         t_cdf(1.0, 0)
     with pytest.raises(InvalidDFError):
         chi2_cdf(1.0, -3)
+
+
+# float.hex of each CDF value as the two hand-written continued fractions
+# computed it.  The t points lie on both sides of the incomplete beta's
+# switch x < (a+1)/(a+b+2) (|t| of about 1.46 at df 5), the chi-square
+# points on both sides of the incomplete gamma's series / continued
+# fraction switch x < df + 2.
+CDF_PINS = [
+    ("t", 0.3, 5, "0x1.3947be25ed8bbp-1"),
+    ("t", -0.3, 5, "0x1.8d7083b424e8ap-2"),
+    ("t", 2.1, 5, "0x1.e905ee570932fp-1"),
+    ("t", -4.0, 5, "0x1.524715efc4ba3p-8"),
+    ("t", 50.0, 1, "0x1.fcbdae5391410p-1"),
+    ("t", 0.05, 30, "0x1.0a1fb2fe87a68p-1"),
+    ("t", 1.7, 200, "0x1.e8c8d61f5cadfp-1"),
+    ("t", -2.5, 9, "0x1.1565664f66147p-6"),
+    ("chi2", 0.5, 1, "0x1.0a7ef5c18edd1p-1"),
+    ("chi2", 3.5, 1, "0x1.e09443cbb475bp-1"),
+    ("chi2", 2.0, 3, "0x1.b5db0451254f2p-2"),
+    ("chi2", 6.0, 3, "0x1.c6db064aa354cp-1"),
+    ("chi2", 11.9, 10, "0x1.6a988c5a244e3p-1"),
+    ("chi2", 12.1, 10, "0x1.7172fb348d0dcp-1"),
+    ("chi2", 40.0, 10, "0x1.fffdc76dc209dp-1"),
+    ("chi2", 200.0, 250, "0x1.1f7e485cbea29p-7"),
+    ("chi2", 300.0, 250, "0x1.f78aeaba004a9p-1"),
+]
+
+
+@pytest.mark.parametrize("cdf, x, df, want", CDF_PINS)
+def test_cdf_values_are_pinned_to_the_bit(cdf, x, df, want):
+    assert {"t": t_cdf, "chi2": chi2_cdf}[cdf](x, df).hex() == want
+
+
+@pytest.mark.parametrize("cdf, x, df, message", [
+    (t_cdf, 2.1, 5, "incomplete beta continued fraction did not converge"),
+    (chi2_cdf, 6.0, 3, "incomplete gamma continued fraction did not converge"),
+    (chi2_cdf, 2.0, 3, "incomplete gamma series did not converge"),
+])
+def test_cdfs_report_a_fraction_or_series_that_does_not_converge(monkeypatch, cdf, x, df, message):
+    monkeypatch.setattr(stats, "_MAX_ITER", 1)
+    with pytest.raises(NotConvergedError, match=f"^{message}$"):
+        cdf(x, df)
 
 
 # ---------------------------------------------------------------------------
