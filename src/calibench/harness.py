@@ -64,7 +64,10 @@ from .errors import (
     SchemaVersionMismatchError,
     TooFewSamplesError,
 )
-from .metrics import MetricReport, _resampled, auc, brier, ece, log_loss, mce, metric_report
+from .metrics import (
+    MetricReport, _check_two_classes, _metric_reports, _resampled, auc, brier, ece, log_loss, mce,
+    metric_report,
+)
 from .models import fit_forest, fit_logistic, score_dataset
 from .stats import (
     IntervalEstimate,
@@ -75,7 +78,8 @@ from .stats import (
     shapiro_wilk,
 )
 from ._util import (
-    check_counts, check_int, check_real, check_type, from_json, mix_seed, to_json, write_json,
+    check_counts, check_int, check_pairs, check_real, check_type, from_json, mix_seed, to_json,
+    write_json,
 )
 
 __all__ = [
@@ -197,8 +201,9 @@ class ExperimentConfig:
     """Everything a benchmark run depends on.
 
     ``feature_mode`` is ``"full"``, ``"informative"`` (the first two
-    columns), or an explicit tuple of distinct column indices, at least one;
-    an index beyond the data's columns shows only once the data is built.
+    columns), or an explicit tuple of distinct column indices, at least one,
+    kept as plain ints (NumPy integers are taken, bools are not); an index
+    beyond the data's columns shows only once the data is built.
     """
 
     source: SyntheticConfig | CsvSource | ScoreFileSource
@@ -231,13 +236,16 @@ class ExperimentConfig:
                 )
         else:
             indices = tuple(self.feature_mode)
-            valid = all(type(i) is int and i >= 0 for i in indices)
+            valid = all(
+                isinstance(i, (int, np.integer)) and not isinstance(i, bool) and i >= 0
+                for i in indices
+            )
             if not indices or not valid or len(set(indices)) != len(indices):
                 raise ValueError(
                     f"feature_mode indices must be distinct integers >= 0, at least one, "
                     f"got {self.feature_mode!r}"
                 )
-            object.__setattr__(self, "feature_mode", indices)
+            object.__setattr__(self, "feature_mode", tuple(map(int, indices)))
         check_counts(self)
         check_real(self.family_alpha, "family_alpha", 0.0, 1.0)
         external_model = isinstance(self.model, ExternalSpec)
@@ -589,6 +597,12 @@ def _comparisons_for(records, methods, metrics, family_alpha: float):
     )
 
 
+# points a run queues for scoring before it scores the queue: blocks of ~20
+# README-size rows pay (~28 against ~160 us a row one at a time); 1 << 13
+# added ~0.4 MB to a README logreg run's peak RSS, 1 << 12 ~0.2 MB
+_QUEUED_POINTS = 1 << 12
+
+
 def run_repeated_cv(config: ExperimentConfig) -> ResultTable:
     """Run the full benchmark protocol and assemble the result table.
 
@@ -596,20 +610,35 @@ def run_repeated_cv(config: ExperimentConfig) -> ResultTable:
     and compares all method pairs on the default comparison metrics with a
     Bonferroni threshold spanning every emitted pair.  Deterministic for a
     fixed config.
+
+    Each (repeat, fold, method)'s calibrated test probabilities are checked
+    as :func:`metric_report` checks them and queued; the queue is scored
+    whenever it holds ``_QUEUED_POINTS`` points, and at the end, a
+    ``(rows, n)`` block per test-set length ``n``.  Every report equals
+    the row's own :func:`metric_report` bit for bit.
     """
     records = []
+    queue = {}  # test-set length -> [(repeat, fold, method, probs, labels)]
+    queued = 0
     cells = _cells(config)
     try:
         for repeat, fold, cal_scores, test_scores in cells:
             for method in config.methods:
                 cal_map = fit_calibrated_pipeline(cal_scores, method)
                 probs = apply_map(cal_map, test_scores.scores)
-                report = metric_report(probs, test_scores.labels, bins=config.bins)
-                records.append(
-                    RunRecord(repeat, fold, config.model.model_name, method, report)
-                )
+                # checked as metric_report checks them; the queue keeps the
+                # ScoreSet's labels, not a copy per method
+                probs = check_pairs(probs, test_scores.labels)[0]
+                _check_two_classes(test_scores.labels)
+                row = (repeat, fold, method, probs, test_scores.labels)
+                queue.setdefault(probs.size, []).append(row)
+                queued += probs.size
+                if queued >= _QUEUED_POINTS:
+                    records += _scored(queue, config)
+                    queued = 0
     finally:
         cells.close()  # ends a worker pool now, not when the generator is collected
+    records += _scored(queue, config)
     records.sort(key=lambda r: (r.model_name, r.method_name, r.repeat, r.fold))
     records = tuple(records)
     aggregates = aggregate_records(records)
@@ -628,6 +657,25 @@ def run_repeated_cv(config: ExperimentConfig) -> ResultTable:
         comparison_metrics=tuple(metrics),
         bonferroni_threshold=threshold,
     )
+
+
+def _scored(queue: dict, config: ExperimentConfig) -> list:
+    """The RunRecords of :func:`run_repeated_cv`'s queued rows, scored a
+    block per test-set length; empties the queue."""
+    records = []
+    for rows in queue.values():
+        probs, labels = ([row[i] for row in rows] for i in (3, 4))
+        if len(rows) > 1:
+            probs, labels = np.stack(probs), np.stack(labels)
+        else:  # a lone row, such as a large test set, is scored in place, not copied
+            probs, labels = probs[0][None], labels[0][None]
+        reports = _metric_reports(probs, labels, config.bins, 10)  # metric_report's hl_groups
+        records += (
+            RunRecord(repeat, fold, config.model.model_name, method, report)
+            for (repeat, fold, method, _, _), report in zip(rows, reports)
+        )
+    queue.clear()
+    return records
 
 
 def compare_methods(table: ResultTable, metric: str, family_alpha: float | None = None) -> list:

@@ -99,12 +99,18 @@ def reliability_bins(probs, labels, bins: int = 10) -> BinStats:
 
 def _bin_of(p, bins: int):
     """``(edges, bin index of each probability)``: the one definition of bin
-    membership behind every binned metric."""
+    membership behind every binned metric, for pairs or ``(k, n)`` blocks."""
     # edge i is i/bins correctly rounded, so bin membership is reproducible
     # from the definition alone (linspace edges can differ in the last ulp)
     edges = np.arange(bins + 1, dtype=np.float64) / bins
-    idx = np.searchsorted(edges, p, side="right") - 1
-    return edges, np.minimum(idx, bins - 1)  # p == 1.0 belongs to the last bin
+    # the rounded product p * bins lands at most one bin off; a step down
+    # where p is below its bin's left edge and up where it reaches the right
+    # one give the index of the last edge <= p, which a binary search would
+    idx = np.multiply(p, bins, out=np.empty(p.shape, np.intp), casting="unsafe")
+    np.minimum(idx, bins - 1, out=idx)
+    idx -= p < edges[idx]
+    idx += p >= edges[1:][idx]
+    return edges, np.minimum(idx, bins - 1, out=idx)  # p == 1.0 belongs to the last bin
 
 
 def _reliability_bins(p, y, bins: int) -> BinStats:
@@ -131,15 +137,15 @@ def mce(probs, labels, bins: int = 10) -> float:
 def _resampled(metric: str, probs, labels, bins: int, blocks):
     """Value of ``metric``, one of ``bootstrap_metric_ci``'s, on each resample
     ``(p[r], y[r])`` of checked pairs for the rows ``r`` of each index block
-    in ``blocks``, in order; NaN for an AUC on one class.  Each equals the
-    public metric's value on its resample bit for bit: a row mean along the
-    contiguous last axis adds as the 1-D mean does, and :func:`_auc` and
-    :func:`_resampled_ece_mce` say why theirs do."""
+    in ``blocks``, in order; NaN for an AUC on one class.  Each row of a
+    gathered block is scored by the kernel behind the public metric, bit
+    for bit as on that resample alone."""
     p = np.ascontiguousarray(probs, dtype=np.float64)
-    y = np.asarray(labels).astype(np.int64)
-    if metric in ("ece", "mce", "reliability"):
-        _, bin_of = _bin_of(p, bins)
-        y_float = y.astype(np.float64)
+    # the labels are 0 or 1: as float64 they are bincount's weights as they
+    # stand; as int8 the other metrics' gathered blocks are an eighth the size
+    binned = metric in ("ece", "mce", "reliability")
+    y = np.asarray(labels).astype(np.float64 if binned else np.int8)
+    _, bin_of = _bin_of(p, bins)
     values = []
     for rows in blocks:
         if metric == "brier":
@@ -150,28 +156,28 @@ def _resampled(metric: str, probs, labels, bins: int, blocks):
             by_score = np.take_along_axis(rows, np.argsort(p[rows], axis=-1), -1)
             values.append(_auc(p[by_score], y[by_score]))
         else:
-            e, m = _resampled_ece_mce(p, y_float, bin_of, bins, rows)
+            e, m = _ece_mce(p[rows], y[rows], bin_of[rows], bins)
             values.append({"ece": e, "mce": m, "reliability": 1.0 - e}[metric])
     return np.concatenate(values)
 
 
-def _resampled_ece_mce(p, y, bin_of, bins: int, rows):
-    """ECE and MCE of each resample ``(p[r], y[r])`` for the rows ``r`` of the
-    index array ``rows``, from validated pairs and their bins ``bin_of``.
+def _ece_mce(p, y, keys, bins: int):
+    """ECE and MCE of each row of ``(k, n)`` blocks of validated pairs whose
+    bins from :func:`_bin_of` are ``keys``, which become the bincount keys
+    in place.
 
     One bincount per statistic over the keys ``row * bins + bin`` gives every
     row's counts and sums.  Bincount adds in array order, so each row's bins
-    equal those of :func:`_reliability_bins` on its resample bit for bit,
-    and each ECE sums the filled bins' terms in bin order, as
+    equal those of :func:`_reliability_bins` on the row bit for bit, and
+    each ECE sums the filled bins' terms in bin order, as
     :meth:`BinStats.ece` does.
     """
-    k, n = rows.shape
-    keys = bin_of[rows]
+    k, n = p.shape
     keys += bins * np.arange(k)[:, None]
     keys = keys.ravel()
     counts = np.bincount(keys, minlength=k * bins).reshape(k, bins)
-    sum_p = np.bincount(keys, weights=p[rows].ravel(), minlength=k * bins).reshape(k, bins)
-    sum_y = np.bincount(keys, weights=y[rows].ravel(), minlength=k * bins).reshape(k, bins)
+    sum_p = np.bincount(keys, weights=p.ravel(), minlength=k * bins).reshape(k, bins)
+    sum_y = np.bincount(keys, weights=y.ravel(), minlength=k * bins).reshape(k, bins)
     with np.errstate(invalid="ignore"):  # 0/0 in empty bins
         gaps = np.abs(sum_y / counts - sum_p / counts)
     filled = counts > 0
@@ -218,34 +224,44 @@ def auc(scores, labels) -> float:
     strictly increasing transform of the scores.  Scores must be finite.
     """
     s, y = check_pairs(scores, labels, "scores", check_finite, 0)
+    _check_two_classes(y)
     order = np.argsort(s)
     return float(_auc(s[order], y[order]))
 
 
-def _stable_order(p) -> np.ndarray:
-    """``p``'s stable argsort, as ``argsort(kind="mergesort")`` gives it.
+def _check_two_classes(y) -> None:
+    """SingleClassError unless validated labels hold both classes, as AUC needs."""
+    positives = int(y.sum())
+    if positives == 0 or positives == y.size:
+        raise SingleClassError("labels: AUC needs at least one positive and one negative label")
 
-    The default argsort already is that permutation when sorted ``p`` has
-    no two equal neighbours.  Otherwise the stable argsort of the dense
-    ranks from that sort is; with at most 65,536 levels the ranks are
-    ``uint16``, which NumPy radix-sorts faster than it merge-sorts floats.
+
+def _stable_order(p) -> np.ndarray:
+    """The stable argsort of ``p`` along its last axis, as
+    ``argsort(kind="mergesort")`` gives it, for a vector or each row of a
+    ``(k, n)`` block.
+
+    The default argsort already is that permutation when no sorted row has
+    two equal neighbours.  Otherwise the stable argsort of each row's dense
+    ranks from that sort is; with at most 65,536 levels in a row the ranks
+    are ``uint16``, which NumPy radix-sorts faster than it merge-sorts floats.
     """
-    order = np.argsort(p)
-    sorted_p = p[order]
-    rises = sorted_p[1:] != sorted_p[:-1]
+    order = np.argsort(p, axis=-1)
+    sorted_p = np.take_along_axis(p, order, -1)
+    rises = sorted_p[..., 1:] != sorted_p[..., :-1]
     if rises.all():
         return order
-    levels = int(np.count_nonzero(rises)) + 1
-    ranks = np.empty(p.size, dtype=np.uint16 if levels <= 1 << 16 else np.intp)
-    ranks[order[0]] = 0
-    ranks[order[1:]] = np.cumsum(rises)
-    return np.argsort(ranks, kind="stable")
+    levels = int(np.count_nonzero(rises, axis=-1).max()) + 1
+    ranks = np.empty(p.shape, dtype=np.uint16 if levels <= 1 << 16 else np.intp)
+    np.put_along_axis(ranks, order[..., :1], 0, -1)
+    np.put_along_axis(ranks, order[..., 1:], np.cumsum(rises, axis=-1, dtype=ranks.dtype), -1)
+    return np.argsort(ranks, axis=-1, kind="stable")
 
 
 def _auc(sorted_s, sorted_y):
-    """AUC of validated pairs sorted by score along the last axis: of one
-    1-D pair (SingleClassError if it holds one class), or of each row of a
-    ``(k, n)`` block (NaN for a row that holds one class).
+    """AUC of validated pairs sorted by score along the last axis, of one
+    1-D pair or of each row of a ``(k, n)`` block; NaN where the pairs hold
+    one class.
 
     A tie group of ``m`` scores from 0-based place ``a`` of its row shares
     the mid-rank ``a + (m + 1)/2``.  Twice every rank sum is an integer,
@@ -255,8 +271,6 @@ def _auc(sorted_s, sorted_y):
     n = sorted_s.shape[-1]
     n_pos = sorted_y.sum(axis=-1)
     pairs = n_pos * (n - n_pos)
-    if sorted_s.ndim == 1 and pairs == 0:
-        raise SingleClassError("labels: AUC needs at least one positive and one negative label")
     first = np.empty(sorted_s.shape, dtype=bool)  # True where a tie group starts
     first[..., 0] = True
     np.not_equal(sorted_s[..., 1:], sorted_s[..., :-1], out=first[..., 1:])
@@ -279,21 +293,44 @@ def hosmer_lemeshow(probs, labels, groups: int = 10):
     Returns ``(statistic, p_value)``.
     """
     p, y = check_pairs(probs, labels)
-    return _hosmer_lemeshow(p, y, check_int(groups, "groups"), _stable_order(p))
+    groups = check_int(groups, "groups")
+    order = _stable_order(p)
+    observed, expected, counts = _hl_cells(p[order], y[order], groups)
+    return _hosmer_lemeshow(observed.tolist(), expected.tolist(), counts)
 
 
-def _hosmer_lemeshow(p, y, groups: int, order):
-    """Hosmer-Lemeshow of validated pairs; ``order`` is ``p``'s stable
-    argsort, which decides the group of each tied probability."""
-    if groups < 3 or p.size < groups:
-        raise TooFewGroupsError(f"need n >= groups >= 3, got n={p.size}, groups={groups}")
-    cells = []  # (observed positives, expected positives, count)
-    for chunk in np.array_split(order, groups):
-        cells.append((float(y[chunk].sum()), float(p[chunk].sum()), len(chunk)))
+def _hl_cells(sorted_p, sorted_y, groups: int):
+    """``(observed positives, expected positives, group sizes)`` of the
+    Hosmer-Lemeshow groups of validated pairs sorted stably by probability
+    along the last axis, of one 1-D pair or each row of a ``(k, n)`` block;
+    the sums are float arrays ending in a ``groups`` axis.
 
+    The groups are those ``np.array_split`` deals, the first ``n % groups``
+    one longer.  Each is a slice of a row, and a sum along the contiguous
+    last axis of a view adds as the 1-D sum of that slice does.
+    """
+    n = sorted_p.shape[-1]
+    if groups < 3 or n < groups:
+        raise TooFewGroupsError(f"need n >= groups >= 3, got n={n}, groups={groups}")
+    size, longer = divmod(n, groups)
+    cut = longer * (size + 1)
+    lead = sorted_p.shape[:-1]
+
+    def group_sums(a):
+        head = a[..., :cut].reshape(*lead, longer, size + 1).sum(axis=-1)
+        tail = a[..., cut:].reshape(*lead, groups - longer, size).sum(axis=-1)
+        return np.concatenate([head, tail], axis=-1).astype(np.float64)
+
+    counts = [size + 1] * longer + [size] * (groups - longer)
+    return group_sums(sorted_y), group_sums(sorted_p), counts
+
+
+def _hosmer_lemeshow(observed, expected, counts):
+    """Hosmer-Lemeshow ``(statistic, p_value)`` from one row of
+    :func:`_hl_cells`, as lists."""
     merged = []
     carry = None
-    for o1, e1, cnt in cells:
+    for o1, e1, cnt in zip(observed, expected, counts):
         if carry is not None:
             o1, e1, cnt = o1 + carry[0], e1 + carry[1], cnt + carry[2]
             carry = None
@@ -334,22 +371,35 @@ def metric_report(probs, labels, bins: int = 10, hl_groups: int = 10) -> MetricR
     p, y = check_pairs(probs, labels)
     bins = check_int(bins, "bins", 1)
     hl_groups = check_int(hl_groups, "hl_groups")
-    bin_stats = _reliability_bins(p, y, bins)
-    e = bin_stats.ece()
+    _check_two_classes(y)
+    return _metric_reports(p[None], y[None], bins, hl_groups)[0]
+
+
+def _metric_reports(p, y, bins: int, hl_groups: int) -> tuple:
+    """The :class:`MetricReport` of each row of ``(k, n)`` blocks of
+    validated pairs whose every row holds both classes; each equals
+    :func:`metric_report` on its row alone, bit for bit, since every
+    kernel scores a row as it scores that row on its own."""
+    k, n = p.shape
+    ece, mce = _ece_mce(p, y, _bin_of(p, bins)[1], bins)
+    brier, log_loss = _brier(p, y), _log_loss(p, y, 1e-15)
     order = _stable_order(p)  # Hosmer-Lemeshow needs it stable, AUC any sort
+    sorted_p, sorted_y = np.take_along_axis(p, order, -1), np.take_along_axis(y, order, -1)
+    del order
+    auc = _auc(sorted_p, sorted_y)
+    hl = [(float("nan"), float("nan"))] * k
     try:
-        hl_stat, hl_p = _hosmer_lemeshow(p, y, hl_groups, order)
-    except (TooFewGroupsError, DegenerateGroupingError):
-        hl_stat, hl_p = float("nan"), float("nan")
-    return MetricReport(
-        ece=e,
-        mce=bin_stats.mce(),
-        brier=float(_brier(p, y)),
-        log_loss=float(_log_loss(p, y, 1e-15)),
-        auc=float(_auc(p[order], y[order])),
-        reliability=1.0 - e,
-        hl_statistic=hl_stat,
-        hl_p_value=hl_p,
-        n=p.size,
-        bin_count=bins,
+        observed, expected, counts = _hl_cells(sorted_p, sorted_y, hl_groups)
+    except TooFewGroupsError:
+        pass
+    else:
+        for row, cells in enumerate(zip(observed.tolist(), expected.tolist())):
+            try:
+                hl[row] = _hosmer_lemeshow(*cells, counts)
+            except DegenerateGroupingError:
+                pass
+    columns = zip(ece.tolist(), mce.tolist(), brier.tolist(), log_loss.tolist(), auc.tolist(), hl)
+    return tuple(
+        MetricReport(e, m, b, loss, a, 1.0 - e, *hl_row, n=n, bin_count=bins)
+        for e, m, b, loss, a, hl_row in columns
     )

@@ -45,8 +45,8 @@ from .calibrators import ScoreSet
 from .datasets import Dataset
 from .errors import MalformedModelError, SingleClassError
 from ._util import (
-    check_counts, check_finite, check_int, check_ints, check_real, check_rows, check_type,
-    damped_newton, from_json, readonly, sigmoid, to_json,
+    _float_array, check_counts, check_finite, check_int, check_ints, check_real, check_rows,
+    check_type, damped_newton, from_json, readonly, sigmoid, to_json,
 )
 
 __all__ = [
@@ -100,7 +100,8 @@ class Tree:
     ``count[i]`` of them).  Node 0 is the root.  :func:`fit_forest` numbers
     nodes breadth-first (a split node's children are adjacent, left first);
     prediction accepts any numbering, such as depth-first trees from JSON.
-    Integer arrays take no fraction or bool; :class:`ForestModel` checks the rest.
+    Integer arrays take no fraction or bool, and float arrays hold numbers,
+    NaN among them; :class:`ForestModel` checks the rest.
     """
 
     feature: npt.NDArray[np.intp]
@@ -116,7 +117,7 @@ class Tree:
             object.__setattr__(self, name, readonly(check_ints(given, name), given))
         for name in ("threshold", "value"):
             given = getattr(self, name)
-            object.__setattr__(self, name, readonly(np.asarray(given, dtype=np.float64), given))
+            object.__setattr__(self, name, readonly(_float_array(given, name, 1), given))
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,40 @@ def test_benchmark_data_error_names_the_bad_score_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "first_test, message",
+    [
+        ("score,y\n0.25,0\n0.75,0\n0.5,0\n", "labels: AUC needs at least one positive and one negative label"),
+        ("score,y\n0.25,0\n1.5,1\n0.5,0\n", "second.csv: row 2, column 'score': 'high' is not a number"),
+    ],
+    ids=["single-class", "out-of-range"],
+)
+def test_benchmark_reports_errors_in_the_order_of_the_cells(tmp_path, capsys, first_test, message):
+    # each cell's probabilities are checked when its row is queued, so a
+    # single-class test file in entry 0 fails before entry 1's unreadable
+    # test file is parsed; scores outside [0, 1] are no error, since the
+    # identity map clamps them, so that run reaches entry 1
+    write_score_file(tmp_path / "cal.csv", seed=1)
+    (tmp_path / "first.csv").write_text(first_test)
+    (tmp_path / "second.csv").write_text("score,y\n0.25,0\nhigh,1\n")
+    entries = [
+        {"cal": str(tmp_path / "cal.csv"), "test": str(tmp_path / name)}
+        for name in ("first.csv", "second.csv")
+    ]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "source": {"scores": {"entries": entries}},
+        "model": {"external": {}},
+        "methods": ["uncalibrated", "platt"],
+        "folds": 2,
+        "repeats": 1,
+    }))
+    out = tmp_path / "results.json"
+    assert run_cli("benchmark", "--config", str(config_path), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_benchmark_missing_config_file_is_data_error(tmp_path, capsys):
     out = tmp_path / "results.json"
     assert run_cli("benchmark", "--config", str(tmp_path / "absent.json"), "--out", str(out)) == 2

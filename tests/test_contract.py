@@ -433,3 +433,11 @@ def test_a_record_copies_the_callers_array_rather_than_lock_it(record, name, val
     kept = held.copy()
     given += 1
     np.testing.assert_array_equal(held, kept)
+
+
+@pytest.mark.parametrize("name", ["threshold", "value"])
+def test_a_tree_names_a_float_field_that_holds_text(name):
+    # NumPy's own message, "could not convert string to float: 'a'", named no field
+    with pytest.raises(ValueError) as caught:
+        Tree(**{**STUMP, name: ["a", 0.0, 0.0]})
+    assert str(caught.value) == f"{name} must hold numbers"

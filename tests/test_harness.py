@@ -137,6 +137,18 @@ def test_config_feature_mode():
             ExperimentConfig(source=src, model=LogregSpec(), feature_mode=bad)
 
 
+def test_config_feature_mode_takes_numpy_integers_as_plain_ints():
+    src = SyntheticConfig(100, 5, 0)
+    for given in (np.array([0, 2]), (np.int32(0), np.uint8(2)), [np.int64(0), 2]):
+        config = ExperimentConfig(source=src, model=LogregSpec(), feature_mode=given)
+        assert config.feature_mode == (0, 2)
+        assert all(type(i) is int for i in config.feature_mode)
+        assert json.loads(json.dumps(config_to_json(config)))["feature_mode"] == [0, 2]
+    for bad in (np.array([True, False]), (0, np.bool_(True)), np.array([0, -1])):
+        with pytest.raises(ValueError, match="feature_mode indices must be distinct integers"):
+            ExperimentConfig(source=src, model=LogregSpec(), feature_mode=bad)
+
+
 def test_config_external_pairing_rules(tmp_path):
     entries = tuple(ScoreFilePair(test=f"t{i}.csv", cal=f"c{i}.csv") for i in range(6))
     config = ExperimentConfig(
@@ -824,6 +836,44 @@ def _traced_peak(run):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_scoring_the_readme_logreg_rows_in_blocks_keeps_a_small_memory_peak(monkeypatch):
+    # tracemalloc peak of scoring the README logreg run's 150 rows (200 test
+    # points each) a queue at a time, as the run scores them, on a 2-core
+    # x86-64 VM (Python 3.11.7, NumPy 2.4.6): 2.72e5 bytes with the queue
+    # capped at 1 << 12 points (blocks of 21 rows), 5.29e5 at 1 << 13 (41
+    # rows), 1.81e6 at 1 << 16 (one block of 150 rows), 1.47e4 for one
+    # row's metric_report.  The bound is the first figure rounded up to 0.1 MB.
+    config = ExperimentConfig(
+        source=SyntheticConfig(1000, 10, 42), model=LogregSpec(C=1.0), feature_mode="informative",
+        folds=5, repeats=10, bins=10, base_seed=42,
+    )
+    queues = []
+    score = harness._scored
+
+    def keep(queue, config):
+        queues.append({n: list(rows) for n, rows in queue.items()})
+        return score(queue, config)
+
+    monkeypatch.setattr(harness, "_scored", keep)
+    run_repeated_cv(config)
+    assert sum(len(rows) for queue in queues for rows in queue.values()) == 150
+    peak = max(
+        _traced_peak(lambda q=q: score({n: list(rows) for n, rows in q.items()}, config))
+        for q in queues
+    )
+    assert peak <= 0.3e6, peak
+
+
+def test_results_do_not_depend_on_the_scoring_queue_cap(monkeypatch):
+    # one row per block, and every row in one block at the end
+    config = small_config(source=SyntheticConfig(n=301, d=4, seed=7))
+    tables = []
+    for cap in (1, 1 << 30):
+        monkeypatch.setattr(harness, "_QUEUED_POINTS", cap)
+        tables.append(json.dumps(table_to_json(run_repeated_cv(config))))
+    assert tables[0] == tables[1]
 
 
 def test_bootstrap_block_arrays_stay_under_a_megabyte():

@@ -30,7 +30,7 @@ from calibench.errors import (
     SingleClassError,
     TooFewGroupsError,
 )
-from calibench.metrics import _auc, _brier, _log_loss, _stable_order
+from calibench.metrics import _auc, _bin_of, _brier, _log_loss, _metric_reports, _stable_order
 
 from oracles import slow_auc, slow_ece, slow_mce, slow_metric_report, slow_reliability
 
@@ -321,6 +321,71 @@ def test_metric_report_matches_the_merge_sort_oracle_on_many_tied_levels(levels)
     assert np.unique(probs).size == levels
     np.testing.assert_array_equal(_stable_order(probs), np.argsort(probs, kind="mergesort"))
     _assert_same_report(metric_report(probs, labels), slow_metric_report(probs, labels))
+
+
+def _report_rows(rng, k, n, kind):
+    """``(k, n)`` probabilities of one kind and labels holding both classes in every row."""
+    if kind == "distinct":
+        probs = rng.random((k, n))
+    elif kind == "tied levels":  # 0 and 1 among the levels
+        probs = rng.choice([0.0, 0.1, 0.35, 0.8, 1.0], (k, n))
+    elif kind == "isotonic steps":  # what a fitted isotonic map gives: few sorted levels in runs
+        probs = np.sort(rng.random((k, 4)), axis=1)[:, rng.integers(0, 4, n)]
+    else:  # "zeros": expected counts of 0 that Hosmer-Lemeshow merges away
+        probs = np.where(rng.random((k, n)) < 0.6, 0.0, rng.random((k, n)))
+    labels = (rng.random((k, n)) < probs).astype(np.int64)
+    labels[:, :2] = (0, 1)
+    return probs, labels
+
+
+@pytest.mark.parametrize("kind", ["distinct", "tied levels", "isotonic steps", "zeros"])
+def test_a_block_reports_each_row_as_metric_report_does_alone(kind):
+    # the run loop scores its queued rows as (k, n) blocks; n % 10 != 0,
+    # n below hl_groups (NaN Hosmer-Lemeshow) and one-row blocks included
+    rng = np.random.default_rng(len(kind))
+    hl_defined = 0
+    for n, k, bins, hl_groups in [
+        (200, 41, 10, 10), (203, 7, 10, 10), (37, 12, 13, 10), (7, 5, 10, 10), (55, 1, 1, 3),
+        (1000, 3, 20, 12),
+    ]:
+        probs, labels = _report_rows(rng, k, n, kind)
+        reports = _metric_reports(probs, labels, bins, hl_groups)
+        assert len(reports) == k
+        for p, y, got in zip(probs, labels, reports):
+            want = metric_report(p, y, bins=bins, hl_groups=hl_groups)
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, float):
+                    a, b = float(a).hex(), float(b).hex()
+                assert a == b, (kind, n, field.name, a, b)
+            hl_defined += math.isfinite(got.hl_statistic)
+    assert hl_defined > 0
+
+
+def test_stable_order_of_a_block_is_each_rows_merge_sort():
+    rng = np.random.default_rng(3)
+    for probs in (rng.random((9, 50)), rng.choice([0.0, 0.5, 1.0], (9, 50)), np.zeros((2, 5))):
+        expected = np.stack([np.argsort(row, kind="mergesort") for row in probs])
+        np.testing.assert_array_equal(_stable_order(probs), expected)
+
+
+@pytest.mark.parametrize("bins", [1, 3, 7, 10, 13, 20, 100, 1000])
+def test_bin_of_matches_a_binary_search_over_the_edges(bins):
+    # the rounded product p * bins, stepped down below its bin's left edge
+    # and up at its right one, against a binary search over the edges: on
+    # uniforms, every edge k/bins, both float neighbours of each, 0, the
+    # smallest subnormal and 1, as a vector and as a block
+    edges = np.arange(bins + 1) / bins
+    probs = np.concatenate([
+        np.random.default_rng(bins).random(200_000), edges, np.nextafter(edges, 0.0),
+        np.nextafter(edges, 1.0), [0.0, 5e-324, 1.0],
+    ])
+    expected = np.minimum(np.searchsorted(edges, probs, side="right") - 1, bins - 1)
+    got_edges, got = _bin_of(probs, bins)
+    np.testing.assert_array_equal(got_edges, edges)
+    np.testing.assert_array_equal(got, expected)
+    block = probs[: probs.size // 4 * 4].reshape(4, -1)
+    np.testing.assert_array_equal(_bin_of(block, bins)[1], expected[: block.size].reshape(4, -1))
 
 
 # ---------------------------------------------------------------------------
