@@ -56,6 +56,15 @@ def readonly(arr: np.ndarray, given=None) -> np.ndarray:
     return arr
 
 
+class Checked:
+    """Base of a dataclass record whose constructor checks its fields: it
+    pickles as its field values, in field order, and so unpickles through
+    that constructor, which checks them again and keeps read-only arrays."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+
 def sigmoid(z):
     """Numerically stable logistic function, elementwise."""
     z = np.asarray(z, dtype=np.float64)

@@ -31,7 +31,7 @@ import numpy.typing as npt
 
 from .errors import CalibrationWarning, DegenerateLabelsError
 from ._util import (
-    check_finite, check_int, check_pairs, check_probs, check_real,
+    Checked, check_finite, check_int, check_pairs, check_probs, check_real,
     check_same_length, check_type, damped_newton, from_json, readonly, sigmoid, to_json,
 )
 
@@ -62,7 +62,7 @@ METHODS = tuple(_FITS)
 
 
 @dataclass(frozen=True)
-class ScoreSet:
+class ScoreSet(Checked):
     """Paired (score, label) vectors — the universal calibrator/metric input."""
 
     scores: np.ndarray
@@ -72,11 +72,6 @@ class ScoreSet:
         s, y = check_pairs(self.scores, self.labels, "scores", check_finite, 0)
         object.__setattr__(self, "scores", readonly(s, self.scores))
         object.__setattr__(self, "labels", readonly(y))
-
-    def __reduce__(self):
-        # unpickle through the constructor, which checks the vectors again
-        # and makes them read-only
-        return ScoreSet, (self.scores, self.labels)
 
     @property
     def n(self) -> int:
@@ -102,7 +97,7 @@ class PlattMap:
 
 
 @dataclass(frozen=True)
-class IsotonicMap:
+class IsotonicMap(Checked):
     """Right-continuous non-decreasing step function over score knots.
 
     ``knots`` are (a subset of) the distinct training scores, finite and

@@ -41,7 +41,7 @@ from .errors import (
     TooFewSamplesPerClassError,
 )
 from ._util import (
-    check_counts, check_finite, check_indices, check_int, check_labels, check_real,
+    Checked, check_counts, check_finite, check_indices, check_int, check_labels, check_real,
     check_same_length, check_type, readonly,
 )
 
@@ -81,7 +81,7 @@ class Provenance:
 
 
 @dataclass(frozen=True)
-class Dataset:
+class Dataset(Checked):
     """Immutable feature matrix with binary labels and provenance."""
 
     features: np.ndarray

@@ -30,14 +30,16 @@ the workers fit the next; the results file is byte-identical to a serial
 run's.  Any other run fits its cells in the calling process.  There is no
 setting for this: ``taskset -c 0 calibench benchmark ...`` pins a run to
 one CPU and so to the serial path.  Forest fits take ~95 % of a forest
-run, and ``fork`` hands the workers the dataset and fold plan without
-copying or pickling them; ``multiprocessing`` is imported only when a
-pool is made, so no other run pays for the import.
+run.  Each task carries its run (the config, dataset and cell, ~97 kB
+pickled for the README forest run, which adds ~1 MB to its peak RSS), so
+runs in threads share no state; ``multiprocessing`` is imported only
+when a pool is made, so no other run pays for the import.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -78,7 +80,7 @@ from .stats import (
     shapiro_wilk,
 )
 from ._util import (
-    check_counts, check_int, check_pairs, check_real, check_type, from_json, mix_seed, to_json,
+    check_counts, check_int, check_real, check_type, from_json, mix_seed, to_json,
     write_json,
 )
 
@@ -445,17 +447,10 @@ def _materialize_dataset(config: ExperimentConfig) -> Dataset:
     return select_features(data, list(config.feature_mode))
 
 
-# (config, dataset, fold assignments) of the run whose cells are being
-# fit; set before a pool forks, so that its workers inherit it
-_RUN = None
-
-
-def _cell(index: int):
-    """``(cal ScoreSet, test ScoreSet)`` of cell ``index`` of ``_RUN``: fit
-    the base model on the fit part of the fold's training rows, and score
-    the calibration part and the test rows."""
-    config, data, assignments = _RUN
-    cell = assignments[index]
+def _cell(config: ExperimentConfig, data: Dataset, cell):
+    """``(cal ScoreSet, test ScoreSet)`` of fold assignment ``cell`` of a
+    run on ``data``: fit the base model on the fit part of the fold's
+    training rows, and score the calibration part and the test rows."""
     if __debug__:
         overlap = np.intersect1d(cell.train_indices, cell.test_indices)
         assert overlap.size == 0, "train/test leakage in fold plan"
@@ -512,21 +507,17 @@ def _cells(config: ExperimentConfig):
             repeat, fold = divmod(index, config.folds)
             yield repeat, fold, cal_scores, test_scores
         return
-    global _RUN
     data = _materialize_dataset(config)
     assignments = make_fold_plan(data, config.folds, config.repeats, config.base_seed).assignments
-    _RUN = (config, data, assignments)
-    pool = None
+    fit = functools.partial(_cell, config, data)
+    pool = _fork_pool(config, len(assignments))
     try:
-        pool = _fork_pool(config, len(assignments))
-        indices = range(len(assignments))
-        fitted = map(_cell, indices) if pool is None else pool.imap(_cell, indices)
+        fitted = map(fit, assignments) if pool is None else pool.imap(fit, assignments)
         for cell, (cal_scores, test_scores) in zip(assignments, fitted):
             yield cell.repeat_index, cell.fold_index, cal_scores, test_scores
     finally:
         if pool is not None:
             pool.terminate()
-        _RUN = None
 
 
 def aggregate_records(records) -> tuple:
@@ -611,9 +602,10 @@ def run_repeated_cv(config: ExperimentConfig) -> ResultTable:
     Bonferroni threshold spanning every emitted pair.  Deterministic for a
     fixed config.
 
-    Each (repeat, fold, method)'s calibrated test probabilities are checked
-    as :func:`metric_report` checks them and queued; the queue is scored
-    whenever it holds ``_QUEUED_POINTS`` points, and at the end, a
+    Each cell's test labels must hold both classes, as :func:`metric_report`
+    requires.  Each (repeat, fold, method)'s calibrated test probabilities,
+    a map of finite scores and so in [0, 1], are queued; the queue is
+    scored whenever it holds ``_QUEUED_POINTS`` points, and at the end, a
     ``(rows, n)`` block per test-set length ``n``.  Every report equals
     the row's own :func:`metric_report` bit for bit.
     """
@@ -623,13 +615,11 @@ def run_repeated_cv(config: ExperimentConfig) -> ResultTable:
     cells = _cells(config)
     try:
         for repeat, fold, cal_scores, test_scores in cells:
+            _check_two_classes(test_scores.labels)
             for method in config.methods:
                 cal_map = fit_calibrated_pipeline(cal_scores, method)
                 probs = apply_map(cal_map, test_scores.scores)
-                # checked as metric_report checks them; the queue keeps the
-                # ScoreSet's labels, not a copy per method
-                probs = check_pairs(probs, test_scores.labels)[0]
-                _check_two_classes(test_scores.labels)
+                # the queue keeps the ScoreSet's labels, not a copy per method
                 row = (repeat, fold, method, probs, test_scores.labels)
                 queue.setdefault(probs.size, []).append(row)
                 queued += probs.size

@@ -45,8 +45,8 @@ from .calibrators import ScoreSet
 from .datasets import Dataset
 from .errors import MalformedModelError, SingleClassError
 from ._util import (
-    _float_array, check_counts, check_finite, check_int, check_ints, check_real, check_rows,
-    check_type, damped_newton, from_json, readonly, sigmoid, to_json,
+    Checked, _float_array, check_counts, check_finite, check_int, check_ints, check_real,
+    check_rows, check_type, damped_newton, from_json, readonly, sigmoid, to_json,
 )
 
 __all__ = [
@@ -67,7 +67,7 @@ _PROB_MARGIN = 1e-15
 
 
 @dataclass(frozen=True)
-class LogisticModel:
+class LogisticModel(Checked):
     """Fitted logistic regression: predicts sigmoid(weights @ x + bias),
     with finite weights and bias."""
 
@@ -91,7 +91,7 @@ class LogisticModel:
 
 
 @dataclass(frozen=True)
-class Tree:
+class Tree(Checked):
     """Binary decision tree as parallel node arrays.
 
     ``feature[i] >= 0`` marks a split node (go left when
@@ -121,7 +121,7 @@ class Tree:
 
 
 @dataclass(frozen=True)
-class ForestModel:
+class ForestModel(Checked):
     """Bagged tree ensemble: predicts the mean of the trees' leaf fractions.
 
     Holds only what :func:`predict_forest` can walk to a leaf in every tree

@@ -22,11 +22,13 @@ such as ``MetricReport`` or ``Tree``) are called with their own fields.
 ``ForestModel`` takes bad counts here, as an input dataclass does; the
 others hold what they are given.  A record that holds an array keeps a
 read-only one of its own, and copies the caller's array rather than lock it.
+A record whose constructor checks its fields unpickles through it.
 """
 
 import dataclasses
 import functools
 import math
+import pickle
 import re
 import warnings
 
@@ -41,6 +43,7 @@ from calibench import (
     Dataset,
     ExperimentConfig,
     ExternalSpec,
+    ForestModel,
     ForestSpec,
     IdentityMap,
     IsotonicMap,
@@ -74,7 +77,7 @@ from calibench import (
     shapiro_wilk,
     table_to_json,
 )
-from calibench.errors import CalibenchError, NotConvergedError
+from calibench.errors import CalibenchError, MalformedModelError, NotConvergedError
 
 # the kind of each argument that takes bad values; ("count", m) is an
 # integer of at least m (None: no minimum)
@@ -441,3 +444,45 @@ def test_a_tree_names_a_float_field_that_holds_text(name):
     with pytest.raises(ValueError) as caught:
         Tree(**{**STUMP, name: ["a", 0.0, 0.0]})
     assert str(caught.value) == f"{name} must hold numbers"
+
+
+def _records():
+    """One of each record whose constructor checks its fields."""
+    stump = Tree(**STUMP)
+    yield ScoreSet([0.2, 0.7, 0.4], [0, 1, 0])
+    yield Dataset([[0.2, 1.0], [0.7, 3.0]], [0, 1], ("x1", "x2"), Provenance.from_seed(0))
+    yield IsotonicMap([0.1, 0.5], [0.25, 0.75])
+    yield LogisticModel([0.5, -1.0], 0.0, 1.0, 3, 0.0)
+    yield stump
+    yield ForestModel(tree_count=2, max_depth=1, seed=0, feature_count=1, trees=(stump, stump))
+
+
+def _same(a, b) -> bool:
+    """Whether ``a`` and ``b`` hold the same values, arrays bit for bit,
+    and every array of ``b`` is read-only."""
+    if dataclasses.is_dataclass(a):
+        names = [f.name for f in dataclasses.fields(a)]
+        return type(a) is type(b) and all(_same(getattr(a, n), getattr(b, n)) for n in names)
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return (
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            and not b.flags.writeable
+        )
+    return a == b
+
+
+@pytest.mark.parametrize("record", list(_records()), ids=lambda r: type(r).__name__)
+def test_a_record_unpickles_equal_with_read_only_arrays(record):
+    # a default pickle came back with writable arrays and skipped the checks
+    assert _same(record, pickle.loads(pickle.dumps(record)))
+
+
+def test_an_unpickled_forest_is_checked_again():
+    forest = object.__new__(ForestModel)  # a forest built around its checks
+    for name, value in [("tree_count", 1), ("max_depth", 1), ("seed", 0), ("feature_count", 1)]:
+        object.__setattr__(forest, name, value)
+    object.__setattr__(forest, "trees", (Tree(**{**STUMP, "value": [0.0, 0.25, 1.5]}),))
+    with pytest.raises(MalformedModelError, match="tree 0: a leaf's value"):
+        pickle.loads(pickle.dumps(forest))

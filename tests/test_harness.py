@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -212,6 +213,31 @@ def test_benchmark_is_deterministic():
     table_a = run_repeated_cv(small_config())
     table_b = run_repeated_cv(small_config())
     assert table_to_json(table_a) == table_to_json(table_b)
+
+
+def test_runs_in_threads_return_their_serial_bytes():
+    # the cells used to read their run from module state, so a thread could
+    # score another thread's dataset; a forest run forks its pool, which a
+    # process with threads should not do, so these are logreg runs
+    from concurrent.futures import ThreadPoolExecutor
+
+    configs = [
+        small_config(source=SyntheticConfig(600 + 100 * i, 4, i), folds=3, repeats=4, base_seed=i)
+        for i in range(4)
+    ]
+
+    def run(config):
+        return json.dumps(table_to_json(run_repeated_cv(config)))
+
+    serial = [run(config) for config in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-cell
+    try:
+        with ThreadPoolExecutor(4) as threads:
+            for _ in range(3):
+                assert list(threads.map(run, configs, timeout=120)) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_benchmark_records_independent_of_method_set():

@@ -1,6 +1,9 @@
 """The package's public names: each is declared once, in its module's
-``__all__``, and ``calibench`` re-exports every one of them."""
+``__all__``, and ``calibench`` re-exports every one of them.  No module
+rebinds a global: a run depends on its arguments alone."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -51,3 +54,17 @@ def test_cli_import_loads_only_numpy_and_the_standard_library():
     # the forest benchmark imports its worker pool when it makes one; every
     # CLI run pays for what importing the CLI loads
     assert not {"multiprocessing", "concurrent"} & {name.split(".")[0] for name in loaded}
+
+
+def test_no_module_rebinds_a_global():
+    # the CV cells once read their run from a module global, and runs in
+    # threads scored each other's data
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(calibench.__file__), "*.py"))):
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree) if isinstance(node, ast.Global)
+        ]
+    assert found == []
