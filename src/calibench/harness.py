@@ -67,7 +67,7 @@ from .errors import (
     TooFewSamplesError,
 )
 from .metrics import (
-    MetricReport, _check_two_classes, _metric_reports, _resampled, auc, brier, ece, log_loss, mce,
+    _RESAMPLED_METRICS, MetricReport, _check_two_classes, _metric_reports, _resampled, ece,
     metric_report,
 )
 from .models import fit_forest, fit_logistic, score_dataset
@@ -478,7 +478,20 @@ def _fork_pool(config: ExperimentConfig, cells: int):
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
-    return multiprocessing.get_context("fork").Pool(min(cpus, cells))
+    return multiprocessing.get_context("fork").Pool(min(cpus, cells), _die_with_parent)
+
+
+def _die_with_parent():
+    """Pool initializer: on Linux the kernel kills this worker when the process
+    that forked it dies, so no worker of a killed run writes to a closed pipe."""
+    import ctypes
+    import signal
+    import sys
+
+    if sys.platform == "linux":
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]  # restype is int by default
+        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
 
 
 def _cells(config: ExperimentConfig):
@@ -749,12 +762,6 @@ def run_convergence_study(g_star, sizes, trials: int, seed: int) -> ConvergenceS
 # single-split bootstrap CI
 # ---------------------------------------------------------------------------
 
-_BOOTSTRAP_METRICS = ("auc", "brier", "ece", "log_loss", "mce", "reliability")
-
-# resample indices drawn per block: bounds each block's arrays at ~200 kB
-_BLOCK_INDICES = 25_000
-
-
 def bootstrap_metric_ci(
     probs,
     labels,
@@ -777,12 +784,12 @@ def bootstrap_metric_ci(
     a whole block at once, each row bit for bit as the public function
     scores that resample.
     """
-    if metric not in _BOOTSTRAP_METRICS:
-        raise ValueError(f"unknown metric {metric!r}; valid: {', '.join(_BOOTSTRAP_METRICS)}")
+    if metric not in _RESAMPLED_METRICS:
+        raise ValueError(f"unknown metric {metric!r}; valid: {', '.join(_RESAMPLED_METRICS)}")
     draws = check_int(draws, "draws", minimum=1)
     bins = check_int(bins, "bins", minimum=1)
     level, seed = check_real(level, "level", 0.0, 1.0), check_int(seed, "seed", 0)
-    point, samples = _bootstrap_samples(probs, labels, metric, bins, draws, seed)
+    point, samples = _resampled(metric, probs, labels, bins, draws, seed)
     if samples.size == 0:
         raise ValueError(f"metric {metric!r} was undefined on every bootstrap draw")
     tail = 0.5 * (1.0 - level)
@@ -793,26 +800,6 @@ def bootstrap_metric_ci(
         upper=max(float(upper), point),
         level=level,
     )
-
-
-def _bootstrap_samples(probs, labels, metric: str, bins: int, draws: int, seed: int):
-    """``(point estimate, array of the defined draws' values)`` for
-    :func:`bootstrap_metric_ci`, whose other arguments are already checked.
-    The public metric that gives the point estimate checks the pairs."""
-    public = {"auc": auc, "brier": brier, "log_loss": log_loss, "mce": mce}.get(metric, ece)
-    binned = metric in ("ece", "mce", "reliability")
-    point = public(probs, labels, bins=bins) if binned else public(probs, labels)
-    if metric == "reliability":
-        point = 1.0 - point
-    n = np.size(probs)
-    rng = np.random.default_rng(seed)
-    per_block = max(1, _BLOCK_INDICES // n)
-    blocks = (
-        rng.integers(0, n, size=(min(per_block, draws - start), n))
-        for start in range(0, draws, per_block)
-    )
-    samples = _resampled(metric, probs, labels, bins, blocks)
-    return point, samples[~np.isnan(samples)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Conventions
 -----------
 * Probabilities are binned into ``M`` equal-width bins; bin ``m`` covers
-  ``[(m-1)/M, m/M)`` and the final bin is closed at 1.0.  A single binning
-  routine backs ``ece``, ``mce`` and ``reliability_bins``, so the three are
-  exactly consistent with each other.
+  ``[(m-1)/M, m/M)`` and the final bin is closed at 1.0.  One kernel, the
+  per-bin means of :func:`_bin_means` and the reduction :func:`_ece_mce`,
+  backs ``ece``, ``mce``, ``reliability_bins``, ``metric_report`` and the
+  bootstrap, so they agree bit for bit.
 * ``acc(B)`` is the empirical positive frequency inside a bin and ``conf(B)``
   the mean predicted probability; ECE is the count-weighted mean of
   ``|acc - conf|``, MCE the maximum over non-empty bins.
@@ -55,15 +56,14 @@ class BinStats:
 
     def ece(self) -> float:
         """Recompute ECE exactly from the stored bins."""
-        n = int(self.counts.sum())
-        gaps = np.abs(self.empirical_accuracy - self.mean_confidence)
-        filled = ~self.empty
-        return float(np.sum(self.counts[filled] * gaps[filled]) / n)
+        return float(_ece_mce(*self._row())[0][0])
 
     def mce(self) -> float:
         """Recompute MCE (max gap over non-empty bins) from the stored bins."""
-        gaps = np.abs(self.empirical_accuracy - self.mean_confidence)
-        return float(gaps[~self.empty].max())
+        return float(_ece_mce(*self._row())[1][0])
+
+    def _row(self):
+        return self.counts[None], self.mean_confidence[None], self.empirical_accuracy[None]
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,10 @@ def reliability_bins(probs, labels, bins: int = 10) -> BinStats:
     edge exclusive, last bin closed at 1.0); counts sum to n.
     """
     p, y = check_pairs(probs, labels)
-    return _reliability_bins(p, y, check_int(bins, "bins", 1))
+    bins = check_int(bins, "bins", 1)
+    edges, keys = _bin_of(p[None], bins)
+    counts, conf, acc = _bin_means(p[None], y[None], keys, bins)
+    return BinStats(readonly(edges), readonly(counts)[0], readonly(conf)[0], readonly(acc)[0])
 
 
 def _bin_of(p, bins: int):
@@ -113,17 +116,6 @@ def _bin_of(p, bins: int):
     return edges, np.minimum(idx, bins - 1, out=idx)  # p == 1.0 belongs to the last bin
 
 
-def _reliability_bins(p, y, bins: int) -> BinStats:
-    edges, idx = _bin_of(p, bins)
-    counts = np.bincount(idx, minlength=bins)
-    conf = np.full(bins, np.nan)
-    acc = np.full(bins, np.nan)
-    filled = counts > 0
-    conf[filled] = np.bincount(idx, weights=p, minlength=bins)[filled] / counts[filled]
-    acc[filled] = np.bincount(idx, weights=y, minlength=bins)[filled] / counts[filled]
-    return BinStats(readonly(edges), readonly(counts), readonly(conf), readonly(acc))
-
-
 def ece(probs, labels, bins: int = 10) -> float:
     """Expected calibration error: sum_m |B_m|/n * |acc(B_m) - conf(B_m)|."""
     return reliability_bins(probs, labels, bins).ece()
@@ -134,52 +126,31 @@ def mce(probs, labels, bins: int = 10) -> float:
     return reliability_bins(probs, labels, bins).mce()
 
 
-def _resampled(metric: str, probs, labels, bins: int, blocks):
-    """Value of ``metric``, one of ``bootstrap_metric_ci``'s, on each resample
-    ``(p[r], y[r])`` of checked pairs for the rows ``r`` of each index block
-    in ``blocks``, in order; NaN for an AUC on one class.  Each row of a
-    gathered block is scored by the kernel behind the public metric, bit
-    for bit as on that resample alone."""
-    p = np.ascontiguousarray(probs, dtype=np.float64)
-    # the labels are 0 or 1: as float64 they are bincount's weights as they
-    # stand; as int8 the other metrics' gathered blocks are an eighth the size
-    binned = metric in ("ece", "mce", "reliability")
-    y = np.asarray(labels).astype(np.float64 if binned else np.int8)
-    _, bin_of = _bin_of(p, bins)
-    values = []
-    for rows in blocks:
-        if metric == "brier":
-            values.append(_brier(p[rows], y[rows]))
-        elif metric == "log_loss":
-            values.append(_log_loss(p[rows], y[rows], 1e-15))
-        elif metric == "auc":
-            by_score = np.take_along_axis(rows, np.argsort(p[rows], axis=-1), -1)
-            values.append(_auc(p[by_score], y[by_score]))
-        else:
-            e, m = _ece_mce(p[rows], y[rows], bin_of[rows], bins)
-            values.append({"ece": e, "mce": m, "reliability": 1.0 - e}[metric])
-    return np.concatenate(values)
-
-
-def _ece_mce(p, y, keys, bins: int):
-    """ECE and MCE of each row of ``(k, n)`` blocks of validated pairs whose
-    bins from :func:`_bin_of` are ``keys``, which become the bincount keys
-    in place.
-
-    One bincount per statistic over the keys ``row * bins + bin`` gives every
-    row's counts and sums.  Bincount adds in array order, so each row's bins
-    equal those of :func:`_reliability_bins` on the row bit for bit, and
-    each ECE sums the filled bins' terms in bin order, as
-    :meth:`BinStats.ece` does.
-    """
-    k, n = p.shape
+def _bin_means(p, y, keys, bins: int):
+    """``(counts, mean probability, mean label)`` of each bin of each row of
+    ``(k, n)`` blocks of validated pairs, the means NaN in empty bins.  The
+    pairs' bins from :func:`_bin_of`, ``keys``, become the bincount keys
+    ``row * bins + bin`` in place.  One bincount per statistic gives every
+    row's counts and sums; it adds in array order, so each row's bins equal
+    those of the row alone, bit for bit."""
+    k = p.shape[0]
     keys += bins * np.arange(k)[:, None]
     keys = keys.ravel()
     counts = np.bincount(keys, minlength=k * bins).reshape(k, bins)
-    sum_p = np.bincount(keys, weights=p.ravel(), minlength=k * bins).reshape(k, bins)
-    sum_y = np.bincount(keys, weights=y.ravel(), minlength=k * bins).reshape(k, bins)
-    with np.errstate(invalid="ignore"):  # 0/0 in empty bins
-        gaps = np.abs(sum_y / counts - sum_p / counts)
+
+    def mean(a):
+        sums = np.bincount(keys, weights=a.ravel(), minlength=k * bins).reshape(k, bins)
+        return np.divide(sums, counts, out=np.full((k, bins), np.nan), where=counts > 0)
+
+    return counts, mean(p), mean(y)
+
+
+def _ece_mce(counts, conf, acc):
+    """ECE and MCE of each row of :func:`_bin_means`' ``(k, bins)`` arrays:
+    the count-weighted gaps ``|acc - conf|`` of the filled bins summed in
+    bin order over the row's n, and the largest gap."""
+    k, bins = counts.shape
+    gaps = np.abs(acc - conf)
     filled = counts > 0
     # each row's filled terms moved to its front, in bin order; a row sum over
     # a contiguous slice of exactly those terms adds them as np.sum does on
@@ -192,7 +163,48 @@ def _ece_mce(p, y, keys, bins: int):
     for m in np.unique(width):
         group = width == m
         ece[group] = front[group, :m].sum(axis=1)
-    return ece / n, np.fmax.reduce(gaps, axis=1)
+    return ece / counts.sum(axis=1), np.fmax.reduce(gaps, axis=1)
+
+
+_RESAMPLED_METRICS = ("auc", "brier", "ece", "log_loss", "mce", "reliability")
+
+# resample indices drawn per block: bounds each block's arrays at ~200 kB
+_BLOCK_INDICES = 25_000
+
+
+def _resampled(metric: str, probs, labels, bins: int, draws: int, seed: int):
+    """``(point estimate, array of the defined draws' values)`` of ``metric``,
+    one of :data:`_RESAMPLED_METRICS`, drawn and scored as
+    ``bootstrap_metric_ci`` says, which has checked the other arguments; the
+    public metric that gives the point estimate checks the pairs."""
+    binned = metric in ("ece", "mce", "reliability")
+    if binned:
+        point = (mce if metric == "mce" else ece)(probs, labels, bins=bins)
+    else:
+        point = (auc if metric == "auc" else brier if metric == "brier" else log_loss)(probs, labels)
+    p = np.ascontiguousarray(probs, dtype=np.float64)
+    # the labels are 0 or 1: as float64 they are bincount's weights as they
+    # stand; as int8 the other metrics' gathered blocks are an eighth the size
+    y = np.asarray(labels).astype(np.float64 if binned else np.int8)
+    _, bin_of = _bin_of(p, bins)
+    n = p.size
+    rng = np.random.default_rng(seed)
+    per_block = max(1, _BLOCK_INDICES // n)
+    values = []
+    for start in range(0, draws, per_block):
+        rows = rng.integers(0, n, size=(min(per_block, draws - start), n))
+        if metric == "brier":
+            values.append(_brier(p[rows], y[rows]))
+        elif metric == "log_loss":
+            values.append(_log_loss(p[rows], y[rows], 1e-15))
+        elif metric == "auc":
+            by_score = np.take_along_axis(rows, np.argsort(p[rows], axis=-1), -1)
+            values.append(_auc(p[by_score], y[by_score]))
+        else:
+            e, m = _ece_mce(*_bin_means(p[rows], y[rows], bin_of[rows], bins))
+            values.append({"ece": e, "mce": m, "reliability": 1.0 - e}[metric])
+    samples = np.concatenate(values)
+    return (1.0 - point if metric == "reliability" else point), samples[~np.isnan(samples)]
 
 
 def brier(probs, labels) -> float:
@@ -381,7 +393,7 @@ def _metric_reports(p, y, bins: int, hl_groups: int) -> tuple:
     :func:`metric_report` on its row alone, bit for bit, since every
     kernel scores a row as it scores that row on its own."""
     k, n = p.shape
-    ece, mce = _ece_mce(p, y, _bin_of(p, bins)[1], bins)
+    ece, mce = _ece_mce(*_bin_means(p, y, _bin_of(p, bins)[1], bins))
     brier, log_loss = _brier(p, y), _log_loss(p, y, 1e-15)
     order = _stable_order(p)  # Hosmer-Lemeshow needs it stable, AUC any sort
     sorted_p, sorted_y = np.take_along_axis(p, order, -1), np.take_along_axis(y, order, -1)

@@ -6,13 +6,16 @@ import json
 import multiprocessing
 import os
 import re
+import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from calibench import cli, harness
+from calibench import cli, harness, metrics
 from calibench.calibrators import ScoreSet, apply_map
 from calibench.datasets import (
     Dataset,
@@ -463,6 +466,36 @@ def test_an_error_in_a_worker_reaches_the_cli_as_the_same_data_error(tmp_path, m
     assert len(pools) == 2 and all(pool is not None for pool in pools)
 
 
+def test_a_pooled_run_killed_by_sigterm_prints_no_traceback(tmp_path):
+    # uninterrupted, the run takes ~5 s on a 2-core VM, so the signal lands
+    # while the workers fit cells; a worker that outlived the run would fail
+    # writing to its closed result pipe
+    config = small_config(
+        source=SyntheticConfig(n=600, d=6, seed=5), model=ForestSpec(trees=50, depth=8),
+        folds=5, repeats=60,
+    )
+    pool = harness._fork_pool(config, 2)
+    if pool is None:
+        pytest.skip("this process gets no worker pool")
+    pool.terminate()
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_json(config)))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = ["benchmark", "--config", str(config_path), "--out", str(tmp_path / "results.json")]
+    run = subprocess.Popen(
+        [sys.executable, "-m", "calibench.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        time.sleep(1.0)
+        run.send_signal(signal.SIGTERM)
+        _, err = run.communicate(timeout=60)  # returns once every worker closed stderr
+    finally:
+        run.kill()
+    assert run.returncode == -signal.SIGTERM
+    assert "Traceback" not in err, err
+
+
 def test_external_benchmark_end_to_end(tmp_path):
     """Score-file mode: fit maps on cal files, evaluate on test files."""
     rng = np.random.default_rng(5)
@@ -792,8 +825,6 @@ def test_bootstrap_auc_ci_rejects_a_nan_score():
          "draws-float", "draws-0", "bins-0", "bins-float", "bins-0-brier"],
 )
 def test_bootstrap_ci_checks_arguments_before_any_draw(monkeypatch, kwargs, message):
-    from calibench import metrics
-
     def never(*args, **kw):
         raise AssertionError("a metric was evaluated before the arguments were checked")
 
@@ -826,7 +857,7 @@ def test_bootstrap_matches_the_per_draw_definition(monkeypatch, metric, block):
     # the 700-index block makes n = 200 and 911 run several blocks with a
     # shorter last one: 3 rows of 200 (103 draws = 34 blocks + 1 row) and
     # 1 row of 911; the default block holds all draws of the small n
-    monkeypatch.setattr(harness, "_BLOCK_INDICES", block)
+    monkeypatch.setattr(metrics, "_BLOCK_INDICES", block)
     draws = 103
     for case, (probs, labels, bins) in enumerate(_bootstrap_cases()):
         if metric not in ("ece", "mce", "reliability") and bins != 10:
@@ -838,7 +869,7 @@ def test_bootstrap_matches_the_per_draw_definition(monkeypatch, metric, block):
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 bootstrap_metric_ci(probs, labels, metric, bins, 0.9, draws, case)
             continue
-        point, got = harness._bootstrap_samples(probs, labels, metric, bins, draws, case)
+        point, got = metrics._resampled(metric, probs, labels, bins, draws, case)
         assert got.dtype == np.float64 and got.tobytes() == samples.tobytes(), (case, bins)
         assert point == interval.mean
         assert bootstrap_metric_ci(probs, labels, metric, bins, 0.9, draws, case) == interval

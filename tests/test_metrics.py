@@ -358,6 +358,12 @@ def test_a_block_reports_each_row_as_metric_report_does_alone(kind):
                 if isinstance(b, float):
                     a, b = float(a).hex(), float(b).hex()
                 assert a == b, (kind, n, field.name, a, b)
+            # the public binned metrics run the kernel that scored the block
+            stats = reliability_bins(p, y, bins)
+            singles = {"ece": (ece(p, y, bins), stats.ece()), "mce": (mce(p, y, bins), stats.mce())}
+            for name, values in singles.items():
+                for value in values:
+                    assert value.hex() == getattr(want, name).hex(), (kind, n, name)
             hl_defined += math.isfinite(got.hl_statistic)
     assert hl_defined > 0
 
