@@ -74,37 +74,59 @@ def sigmoid(z):
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def damped_newton(name: str, params: np.ndarray, newton, objective, tol: float, max_iter: int):
-    """Minimize ``objective`` from the float vector ``params`` by Newton
-    steps with step halving; ``newton(params)`` gives the gradient max-norm
-    and a function for the step.  Return ``(params, iterations, gnorm)`` at
-    norm ``tol``, or after (and counting) a step that moves no parameter;
-    raise NotConvergedError after ``max_iter`` steps or 60 failed halvings."""
-    current = objective(params)
-    iterations = 0
+def damped_newton(name: str, params: np.ndarray, data: tuple, newton, objective, tol: float,
+                  max_iter: int):
+    """Minimize ``objective`` from each row of the ``(k, p)`` stack ``params``
+    by Newton steps with step halving, each row on its own; ``data`` holds
+    the rows' problems, arrays cut to the rows still going (never for one
+    row), ``objective(params, *data)`` gives the rows' values and
+    ``newton(params, *data)`` their gradient max-norms and a function for
+    their steps.  A row stops at norm ``tol``, or after (and counting) a step
+    that moves none of its parameters; it fails after ``max_iter`` steps or
+    60 failed halvings.  Return each row's parameters, steps, final norm and
+    NotConvergedError (or None)."""
+    k = len(params)
+    found, norms, iterations, errors = params.copy(), np.zeros(k), np.zeros(k, np.intp), [None] * k
+    rows, current, steps, moved = np.arange(k), objective(params, *data), 0, np.ones(k, dtype=bool)
     while True:
-        gnorm, solve = newton(params)
-        if gnorm <= tol:
-            return params, iterations, gnorm
-        if iterations >= max_iter:
-            raise NotConvergedError(
-                f"{name} fit: gradient norm {gnorm:.3e} > tol {tol:.1e} "
-                f"after {max_iter} iterations"
-            )
+        gnorm, solve = newton(params, *data)
+        # a row whose last step moved nothing gives the same norm, and leaves
+        found[rows], norms[rows], iterations[rows] = params, gnorm, steps
+        go = ~(gnorm <= tol) & moved
+        if steps >= max_iter or not go.any():
+            for i in np.flatnonzero(go):
+                errors[rows[i]] = NotConvergedError(
+                    f"{name} fit: gradient norm {gnorm[i]:.3e} > tol {tol:.1e} "
+                    f"after {max_iter} iterations"
+                )
+            return found, iterations, norms, errors
         step = solve()
-        eta = 1.0
-        for _ in range(60):
-            candidate = params + eta * step
-            value = objective(candidate)
-            if value <= current:
+        if not go.all():
+            params, current, step, rows = params[go], current[go], step[go], rows[go]
+            data = [a[go] for a in data]
+        candidate = params + step  # every row's full step first
+        value = objective(candidate, *data)
+        searching = np.flatnonzero(~(value <= current))
+        for halvings in range(1, 60):
+            if not searching.size:
                 break
-            eta *= 0.5
-        else:
-            raise NotConvergedError(f"{name} fit: line search found no descent step")
-        iterations += 1
-        if np.array_equal(candidate, params):
-            return params, iterations, gnorm
+            part = data if searching.size == rows.size else [a[searching] for a in data]
+            candidate[searching] = params[searching] + 0.5 ** halvings * step[searching]
+            value[searching] = objective(candidate[searching], *part)
+            searching = searching[~(value[searching] <= current[searching])]
+        for i in searching:  # no descent step: the row stays, and leaves next time
+            errors[rows[i]] = NotConvergedError(f"{name} fit: line search found no descent step")
+            candidate[i] = params[i]
+        steps += 1
+        moved = ~(candidate == params).all(axis=1)
         params, current = candidate, value
+
+
+def raised(outcome):
+    """``outcome``, raised instead if it is an exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def write_json(path: str, payload) -> None:

@@ -32,7 +32,7 @@ import numpy.typing as npt
 from .errors import CalibrationWarning, DegenerateLabelsError
 from ._util import (
     Checked, check_finite, check_int, check_pairs, check_probs, check_real,
-    check_same_length, check_type, damped_newton, from_json, readonly, sigmoid, to_json,
+    check_same_length, check_type, damped_newton, from_json, raised, readonly, sigmoid, to_json,
 )
 
 __all__ = [
@@ -150,7 +150,8 @@ def fit_platt(
     Newton-Raphson with step halving.  Converged when the gradient
     max-norm is at most ``tol``, or when an accepted step leaves (A, B)
     unchanged in floating point: a fixed point, where
-    ``final_gradient_norm`` may exceed ``tol``.
+    ``final_gradient_norm`` may exceed ``tol``.  It is a one-row stack of
+    the fit a logistic benchmark run gives its Platt maps, bit for bit.
 
     ``smooth_targets=True`` replaces the raw 0/1 labels with the classic
     smoothed pseudo-targets (N+ + 1)/(N+ + 2) and 1/(N- + 2); the default
@@ -165,11 +166,8 @@ def fit_platt(
     ridge = check_real(ridge, "ridge", 0.0, np.inf, "[)")
     tol = check_real(tol, "tol", 0.0, np.inf, "[)")
     max_iter = check_int(max_iter, "max_iter", 0)
-    s = data.scores
-    y = data.labels
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    n_pos = int(data.labels.sum())
+    if n_pos == 0 or n_pos == data.n:
         if ridge == 0.0:
             raise DegenerateLabelsError(
                 "calibration labels contain a single class and ridge is 0; "
@@ -181,38 +179,57 @@ def fit_platt(
             CalibrationWarning,
             stacklevel=2,
         )
+    args = (data.scores[None], data.labels[None], ridge, tol, max_iter, smooth_targets)
+    return raised(_fit_platt_stack(*args)[0])
+
+
+def _fit_platt_stack(scores, labels, ridge=1e-6, tol=1e-8, max_iter=100, smooth_targets=True) -> list:
+    """:func:`fit_platt`, without its checks or warning, of each row of a
+    ``(k, n)`` score and label stack: a PlattMap, or the error its fit
+    raises, per row.  The defaults are the ``"platt"`` method's fit."""
+    n_pos = labels.sum(axis=1, keepdims=True)
+    n_neg = labels.shape[1] - n_pos
     if smooth_targets:
-        t = np.where(y == 1, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+        t = np.where(labels == 1, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
     else:
-        t = y.astype(np.float64)
+        t = labels.astype(np.float64)
 
-    def objective(params) -> float:
-        a, b = params.tolist()
-        z = a * s + b
-        return float(np.sum(np.logaddexp(0.0, z) - t * z)) + 0.5 * ridge * (a * a + b * b)
+    def dot(u, v):  # a stacked (1, n) @ (n, 1) np.matmul gives the bits of each row's dot
+        return (u[:, None] @ v[..., None])[:, 0, 0]
 
-    def newton(params):
-        a, b = params.tolist()
-        p = sigmoid(a * s + b)
+    def logits(params, s):
+        z = params[:, :1] * s
+        z += params[:, 1:]  # in place, as NumPy adds B to A * s for floats A and B
+        return z
+
+    def objective(params, s, t):
+        a, b = params.T
+        z = logits(params, s)
+        return (np.logaddexp(0.0, z) - t * z).sum(axis=-1) + 0.5 * ridge * (a * a + b * b)
+
+    def newton(params, s, t):
+        p = sigmoid(logits(params, s))
         resid = p - t
-        gA = float(resid @ s) + ridge * a
-        gB = float(resid.sum()) + ridge * b
+        grad = np.array([dot(resid, s), resid.sum(axis=-1)]).T + ridge * params
 
         def solve():
             w = p * (1.0 - p)
-            h_aa = float(w @ (s * s)) + ridge
-            h_ab = float(w @ s)
-            h_bb = float(w.sum()) + ridge
+            h_aa, h_ab, h_bb = dot(w, s * s) + ridge, dot(w, s), w.sum(axis=-1) + ridge
             det = h_aa * h_bb - h_ab * h_ab
-            if det > 0.0 and np.isfinite(det):
-                return np.array([-(h_bb * gA - h_ab * gB) / det, -(h_aa * gB - h_ab * gA) / det])
-            return np.array([-gA, -gB])  # singular Hessian: a gradient step
+            ok = (det > 0.0) & np.isfinite(det)  # else the Hessian is singular: a gradient step
+            # (h_bb gA - h_ab gB, h_aa gB - h_ab gA) / det, each row as the 2 x 2 inverse gives it
+            num = np.array([h_bb, h_aa]).T * grad - h_ab[:, None] * grad[:, ::-1]
+            return np.where(ok[:, None], -num / np.where(ok, det, 1.0)[:, None], -grad)
 
-        return max(abs(gA), abs(gB)), solve
+        # max(|gA|, |gB|) as Python's max picks it: |gB| only if it is larger
+        g = abs(grad)
+        return np.where(g[:, 1] > g[:, 0], g[:, 1], g[:, 0]), solve
 
-    params, iterations, gnorm = damped_newton("Platt", np.zeros(2), newton, objective, tol, max_iter)
-    A, B = params.tolist()
-    return PlattMap(A=A, B=B, iterations_used=iterations, final_gradient_norm=gnorm)
+    found, iterations, norms, errors = damped_newton(
+        "Platt", np.zeros((len(scores), 2)), (scores, t), newton, objective, tol, max_iter
+    )
+    outcomes = zip(found.tolist(), iterations.tolist(), norms.tolist(), errors)
+    return [error or PlattMap(A, B, steps, gnorm) for (A, B), steps, gnorm, error in outcomes]
 
 
 # ---------------------------------------------------------------------------

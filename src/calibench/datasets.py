@@ -375,8 +375,14 @@ def stratified_split(data: Dataset, train_ratio: float, seed: int):
     """
     check_type(data, Dataset, "data")
     train_ratio = check_real(train_ratio, "train_ratio", 0.0, 1.0)
-    rng = np.random.default_rng(check_int(seed, "seed", 0))
-    neg, pos = _class_indices(data.labels)
+    train_idx, test_idx = _split_rows(data.labels, train_ratio, check_int(seed, "seed", 0))
+    return subset(data, train_idx), subset(data, test_idx)
+
+
+def _split_rows(labels: np.ndarray, train_ratio: float, seed: int) -> tuple:
+    """The (train, test) row indices of :func:`stratified_split`."""
+    rng = np.random.default_rng(seed)
+    neg, pos = _class_indices(labels)
     if neg.size < 2 or pos.size < 2:
         raise DegenerateClassError(
             f"both classes need >= 2 samples to split, got {neg.size} neg / {pos.size} pos"
@@ -389,9 +395,7 @@ def stratified_split(data: Dataset, train_ratio: float, seed: int):
         k = min(max(k, 1), class_idx.size - 1)
         train_parts.append(perm[:k])
         test_parts.append(perm[k:])
-    train_idx = np.sort(np.concatenate(train_parts))
-    test_idx = np.sort(np.concatenate(test_parts))
-    return subset(data, train_idx), subset(data, test_idx)
+    return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
 
 
 def deal_folds(labels: np.ndarray, folds: int, rng) -> np.ndarray:

@@ -19,7 +19,10 @@ evaluation by construction (checked at runtime in debug mode).  Each run's
 seed derives from (base_seed, repeat, fold) through a splitmix64 chain, so
 results are independent of execution order.
 
-That independence lets a forest benchmark fit its cells on every usable
+That independence lets a logistic benchmark fit its cells' models a stack
+per fit-part length and their Platt maps a stack per calibration-part
+length, each row bit for bit its own one-row fit, with a cell's error
+raised at its turn, and a forest benchmark fit its cells on every usable
 CPU.  When the model is a forest, the process may run on at least two
 CPUs (``os.sched_getaffinity``) and the platform offers the ``fork`` start
 method, each cell's model fit and scoring runs in a pool of
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrators import METHODS, ScoreSet, apply_map, fit_calibrated_pipeline
+from .calibrators import METHODS, ScoreSet, _fit_platt_stack, apply_map, fit_calibrated_pipeline
 from .datasets import (
     Dataset,
     SyntheticConfig,
@@ -55,6 +58,7 @@ from .datasets import (
     generate_synthetic,
     load_csv,
     load_score_csv,
+    _split_rows,
     make_fold_plan,
     select_features,
     stratified_split,
@@ -70,7 +74,7 @@ from .metrics import (
     _RESAMPLED_METRICS, MetricReport, _check_two_classes, _metric_reports, _resampled, ece,
     metric_report,
 )
-from .models import fit_forest, fit_logistic, score_dataset
+from .models import _fit_logistic_stack, fit_forest, fit_logistic, predict_logistic, score_dataset
 from .stats import (
     IntervalEstimate,
     PairedComparison,
@@ -80,7 +84,7 @@ from .stats import (
     shapiro_wilk,
 )
 from ._util import (
-    check_counts, check_int, check_real, check_type, from_json, mix_seed, to_json,
+    check_counts, check_int, check_real, check_type, from_json, mix_seed, raised, to_json,
     write_json,
 )
 
@@ -447,21 +451,72 @@ def _materialize_dataset(config: ExperimentConfig) -> Dataset:
     return select_features(data, list(config.feature_mode))
 
 
+def _parts(config: ExperimentConfig, data: Dataset, cell) -> tuple:
+    """``(fit rows, calibration rows, seed)`` of fold assignment ``cell`` of
+    a run on ``data``: its training rows split in two, and its seed."""
+    if __debug__:
+        train = np.zeros(data.n, dtype=bool)
+        train[cell.train_indices] = True
+        assert not train[cell.test_indices].any(), "train/test leakage in fold plan"
+    run_seed = mix_seed(config.base_seed, cell.repeat_index, cell.fold_index)
+    fit, cal = _split_rows(data.labels[cell.train_indices], 0.75, mix_seed(run_seed, 1))
+    if __debug__:
+        assert fit.size + cal.size == cell.train_indices.size, "fit/cal split must partition train"
+    return cell.train_indices[fit], cell.train_indices[cal], run_seed
+
+
 def _cell(config: ExperimentConfig, data: Dataset, cell):
     """``(cal ScoreSet, test ScoreSet)`` of fold assignment ``cell`` of a
     run on ``data``: fit the base model on the fit part of the fold's
     training rows, and score the calibration part and the test rows."""
-    if __debug__:
-        overlap = np.intersect1d(cell.train_indices, cell.test_indices)
-        assert overlap.size == 0, "train/test leakage in fold plan"
-    run_seed = mix_seed(config.base_seed, cell.repeat_index, cell.fold_index)
-    train_data = subset(data, cell.train_indices)
-    test_data = subset(data, cell.test_indices)
-    fit_part, cal_part = stratified_split(train_data, 0.75, seed=mix_seed(run_seed, 1))
-    if __debug__:
-        assert fit_part.n + cal_part.n == train_data.n, "fit/cal split must partition train"
-    model = _fit_base_model(config.model, fit_part, seed=mix_seed(run_seed, 2))
-    return score_dataset(model, cal_part), score_dataset(model, test_data)
+    fit_rows, cal_rows, run_seed = _parts(config, data, cell)
+    model = _fit_base_model(config.model, subset(data, fit_rows), seed=mix_seed(run_seed, 2))
+    return tuple(score_dataset(model, subset(data, rows)) for rows in (cal_rows, cell.test_indices))
+
+
+# training-row values (rows x features) of the cells a logistic run stacks: one
+# stack of the README logreg run's 50 cells (800 x 2 values each) took 49 against
+# 103 ms a run cell by cell, tracemalloc peak 3.2 against 0.8 MB (2-core VM); at
+# d = 10, 68 ms and 3.3 MB, where 1 << 18 gave 67 ms and 5.7 MB
+_STACK_VALUES = 1 << 17
+
+
+def _logistic_cells(config: ExperimentConfig, data: Dataset, assignments):
+    """:func:`_cells` of a logistic run, a chunk of cells of at most
+    ``_STACK_VALUES`` training-row values (one cell at least) at a time,
+    whose models are fit a stack per fit-part length, gathered by row, and
+    Platt maps a stack per calibration-part length.  A fit's error is raised
+    at its cell's turn.  A split raises at once, but only if cell 0's does:
+    fold 0 holds the fewest training rows of each class in every repeat."""
+    x, y = data.features, data.labels
+    per_chunk = max(1, _STACK_VALUES // (data.d * max(c.train_indices.size for c in assignments)))
+    for start in range(0, len(assignments), per_chunk):
+        chunk = assignments[start:start + per_chunk]
+        fit_rows, cal_rows, _ = zip(*(_parts(config, data, cell) for cell in chunk))
+        models = _by_length(lambda r: _fit_logistic_stack(x[r], y[r], config.model.C), fit_rows)
+        cal_sets = [
+            None if isinstance(model, Exception) else ScoreSet(predict_logistic(model, x[r]), y[r])
+            for model, r in zip(models, cal_rows)
+        ]
+        pairs = zip(*((None, None) if s is None else (s.scores, s.labels) for s in cal_sets))
+        platt = [None] * len(chunk)
+        if "platt" in config.methods:
+            platt = _by_length(_fit_platt_stack, *pairs)
+        for cell, model, cal_scores, platt_map in zip(chunk, models, cal_sets, platt):
+            test = cell.test_indices
+            test_scores = ScoreSet(predict_logistic(raised(model), x[test]), y[test])
+            yield cell.repeat_index, cell.fold_index, cal_scores, test_scores, {"platt": platt_map}
+
+
+def _by_length(fit, *columns) -> list:
+    """``fit(*stacks)``'s outcome for each row of ``columns``, lists of 1-D
+    arrays (None: no outcome), the rows of one length stacked together."""
+    outcomes = [None] * len(columns[0])
+    for n in dict.fromkeys(a.size for a in columns[0] if a is not None):
+        rows = [i for i, a in enumerate(columns[0]) if a is not None and a.size == n]
+        for i, outcome in zip(rows, fit(*(np.stack([c[i] for i in rows]) for c in columns))):
+            outcomes[i] = outcome
+    return outcomes
 
 
 def _fork_pool(config: ExperimentConfig, cells: int):
@@ -495,15 +550,16 @@ def _die_with_parent():
 
 
 def _cells(config: ExperimentConfig):
-    """Yield ``(repeat, fold, cal ScoreSet or None, test ScoreSet)`` for
-    every CV cell in repeat-major order.
+    """Yield ``(repeat, fold, cal ScoreSet or None, test ScoreSet, fitted)``
+    for every CV cell in repeat-major order, where ``fitted`` maps a method
+    to the map, or the error, of a fit made ahead of the cell's turn.
 
     Score files are read as their cell comes up, the test file first; the
     calibration file only when some method needs it.  Each path is parsed
-    once per run, however many entries name it.  An in-repo model's cells
-    are fit by :func:`_cell`, in this process or in a pool of forked
-    workers; closing the generator, or an error from a cell, ends the
-    pool and its workers.
+    once per run, however many entries name it.  A logistic run's cells
+    are fit as stacks (:func:`_logistic_cells`).  A forest's are fit by
+    :func:`_cell`, in this process or in a pool of forked workers; closing
+    the generator, or an error from a cell, ends the pool and its workers.
     """
     if isinstance(config.source, ScoreFileSource):
         needs_cal = any(m != "uncalibrated" for m in config.methods)
@@ -518,16 +574,19 @@ def _cells(config: ExperimentConfig):
             test_scores = read(entry.test)
             cal_scores = read(entry.cal) if needs_cal else None
             repeat, fold = divmod(index, config.folds)
-            yield repeat, fold, cal_scores, test_scores
+            yield repeat, fold, cal_scores, test_scores, {}
         return
     data = _materialize_dataset(config)
     assignments = make_fold_plan(data, config.folds, config.repeats, config.base_seed).assignments
+    if isinstance(config.model, LogregSpec):
+        yield from _logistic_cells(config, data, assignments)
+        return
     fit = functools.partial(_cell, config, data)
     pool = _fork_pool(config, len(assignments))
     try:
         fitted = map(fit, assignments) if pool is None else pool.imap(fit, assignments)
         for cell, (cal_scores, test_scores) in zip(assignments, fitted):
-            yield cell.repeat_index, cell.fold_index, cal_scores, test_scores
+            yield cell.repeat_index, cell.fold_index, cal_scores, test_scores, {}
     finally:
         if pool is not None:
             pool.terminate()
@@ -627,10 +686,10 @@ def run_repeated_cv(config: ExperimentConfig) -> ResultTable:
     queued = 0
     cells = _cells(config)
     try:
-        for repeat, fold, cal_scores, test_scores in cells:
+        for repeat, fold, cal_scores, test_scores, fitted in cells:
             _check_two_classes(test_scores.labels)
             for method in config.methods:
-                cal_map = fit_calibrated_pipeline(cal_scores, method)
+                cal_map = raised(fitted.get(method) or fit_calibrated_pipeline(cal_scores, method))
                 probs = apply_map(cal_map, test_scores.scores)
                 # the queue keeps the ScoreSet's labels, not a copy per method
                 row = (repeat, fold, method, probs, test_scores.labels)

@@ -46,7 +46,7 @@ from .datasets import Dataset
 from .errors import MalformedModelError, SingleClassError
 from ._util import (
     Checked, _float_array, check_counts, check_finite, check_int, check_ints, check_real,
-    check_rows, check_type, damped_newton, from_json, readonly, sigmoid, to_json,
+    check_rows, check_type, damped_newton, from_json, raised, readonly, sigmoid, to_json,
 )
 
 __all__ = [
@@ -192,69 +192,83 @@ def fit_logistic(
     standardized optimization coordinates) is at most ``tol``, or when an
     accepted step leaves every coefficient unchanged in floating point: a
     fixed point, where ``final_gradient_norm`` may exceed ``tol``.  Raises
-    :class:`NotConvergedError` after ``max_iter`` Newton updates.
+    :class:`NotConvergedError` after ``max_iter`` Newton updates.  It is a
+    one-row stack of the fit a logistic benchmark run gives its cells.
     """
     check_type(data, Dataset, "data")
     C = check_real(C, "C", 0.0)
     tol = check_real(tol, "tol", 0.0, np.inf, "[)")
     max_iter = check_int(max_iter, "max_iter", 0)
-    y = data.labels.astype(np.float64)
     n_pos = int(data.labels.sum())
     if n_pos == 0 or n_pos == data.n:
         raise SingleClassError("logistic regression needs both classes present")
+    return raised(_fit_logistic_stack(data.features[None], data.labels[None], C, tol, max_iter)[0])
 
-    mu = data.features.mean(axis=0)
-    sd = data.features.std(axis=0)
+
+def _fit_logistic_stack(features, labels, C: float, tol: float = 1e-8, max_iter: int = 100) -> list:
+    """:func:`fit_logistic` of each row of a ``(k, n, d)`` feature and
+    ``(k, n)`` label stack, whose every row holds both classes: a
+    LogisticModel, or the error its fit raises, per row."""
+    mu, sd = features.mean(axis=1), features.std(axis=1)
     sd = np.where(sd == 0.0, 1.0, sd)
-    x = (data.features - mu) / sd
-    d = data.d
+    x, y = (features - mu[:, None]) / sd[:, None], labels.astype(np.float64)
+    del features, labels  # a caller's gathered stack is freed here
+    d = x.shape[2]
     # the raw-space ridge ||w_raw||^2/(2C) expressed in standardized
     # coordinates (w_raw = w/sd) is a diagonal penalty with these weights
     ridge = 1.0 / (C * sd * sd)
 
-    def objective(params) -> float:
-        w = params[:d]
-        z = x @ w + params[d]
-        return float(np.sum(np.logaddexp(0.0, z) - y * z)) + 0.5 * float(ridge @ (w * w))
+    # stacked np.matmul gives the bits of each row's own 2-D products and dots
+    def logits(params, x):
+        z = (x @ params[:, :d, None])[..., 0]
+        z += params[:, d:]  # in place, as NumPy adds the bias to x @ w for a float bias
+        return z
 
-    def newton(params):
-        w = params[:d]
-        p = sigmoid(x @ w + params[d])
+    def objective(params, x, y, ridge):
+        w, z = params[:, :d], logits(params, x)
+        penalty = (ridge[:, None] @ (w * w)[..., None])[:, 0, 0]
+        return (np.logaddexp(0.0, z) - y * z).sum(axis=-1) + 0.5 * penalty
+
+    def newton(params, x, y, ridge):
+        w = params[:, :d]
+        p = sigmoid(logits(params, x))
         resid = p - y
-        grad = np.append(x.T @ resid + ridge * w, resid.sum())
+        xt = x.transpose(0, 2, 1)
+        grad = np.concatenate(
+            ((xt @ resid[..., None])[..., 0] + ridge * w, resid.sum(axis=-1)[:, None]), axis=1
+        )
 
         def solve():
             wt = p * (1.0 - p)
-            xw = x * wt[:, None]
-            hess = np.empty((d + 1, d + 1))
-            hess[:d, :d] = x.T @ xw + np.diag(ridge)
-            hess[:d, d] = xw.sum(axis=0)
-            hess[d, :d] = hess[:d, d]
-            hess[d, d] = float(wt.sum())
+            xw = x * wt[..., None]
+            hess = np.empty((len(x), d + 1, d + 1))
+            hess[:, :d, :d] = xt @ xw + ridge[..., None] * np.eye(d)
+            hess[:, :d, d] = xw.sum(axis=1)
+            hess[:, d, :d] = hess[:, :d, d]
+            hess[:, d, d] = wt.sum(axis=-1)
             try:
-                step = np.linalg.solve(hess, -grad)
-                if not np.isfinite(step).all():
-                    raise np.linalg.LinAlgError
-            except np.linalg.LinAlgError:
-                step = -grad  # singular Hessian: plain gradient step
-            return step
+                step = np.linalg.solve(hess, -grad[..., None])[..., 0]
+            except np.linalg.LinAlgError:  # some Hessian is singular: solve each alone
+                step = np.full_like(grad, np.nan)
+                for i, h in enumerate(hess):
+                    try:
+                        step[i] = np.linalg.solve(h, -grad[i])
+                    except np.linalg.LinAlgError:
+                        pass  # its step stays NaN
+            # where the Hessian is singular, a plain gradient step
+            return np.where(np.isfinite(step).all(axis=1, keepdims=True), step, -grad)
 
-        return float(np.abs(grad).max()), solve
+        return np.abs(grad).max(axis=-1), solve
 
-    params, iterations, gnorm = damped_newton(
-        "logistic", np.zeros(d + 1), newton, objective, tol, max_iter
+    found, iterations, norms, errors = damped_newton(
+        "logistic", np.zeros((len(x), d + 1)), (x, y, ridge), newton, objective, tol, max_iter
     )
-
-    # fold the standardization into the reported raw-feature coefficients
-    w_raw = params[:d] / sd
-    b_raw = float(params[d]) - float(w_raw @ mu)
-    return LogisticModel(
-        weights=w_raw,
-        bias=b_raw,
-        inverse_reg_strength=C,
-        iterations_used=iterations,
-        final_gradient_norm=gnorm,
-    )
+    models = []
+    for params, scale, mean, steps, gnorm, error in zip(found, sd, mu, iterations, norms, errors):
+        w_raw = params[:d] / scale  # the standardization folded into raw-feature coefficients
+        bias = float(params[d]) - float(w_raw @ mean)
+        models.append(error or LogisticModel(w_raw, bias, C, int(steps), float(gnorm)))
+    return models
 
 
 def predict_logistic(model: LogisticModel, features):

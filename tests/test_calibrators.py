@@ -263,6 +263,54 @@ def test_platt_not_converged_raises():
         fit_platt(ScoreSet(s, y), max_iter=1)
 
 
+def _platt_outcome(fit):
+    """A fit's bits in ``float.hex``, or its error's type and message."""
+    if isinstance(fit, Exception):
+        return type(fit), str(fit)
+    return fit.A.hex(), fit.B.hex(), fit.iterations_used, fit.final_gradient_norm.hex()
+
+
+def test_each_row_of_a_stacked_platt_fit_is_its_own_one_row_fit():
+    # 269 scores a row, smoothed targets.  "converged" meets tol; "fixed
+    # point" stops at 1.75e-7 after 15 steps; "single class" is the all-ones
+    # set of seed 20 in the single-class scan (scale 100), which runs to
+    # max_iter; "singular" has scores near 1e160, whose squares overflow, so
+    # its Hessian is not finite and it takes a gradient step, whose line
+    # search fails.  At max_iter 10 the fixed-point row stops at max_iter.
+    def drawn(seed, scale=1.0):
+        rng = np.random.default_rng(seed)
+        s = rng.normal(size=269)
+        return s * scale, (rng.random(269) < 1.0 / (1.0 + np.exp(-s))).astype(np.int64)
+
+    scan = np.random.default_rng(20)
+    assert scan.integers(5, 301) == 269
+    rows = {
+        "converged": drawn(1),
+        "fixed point": drawn(8),
+        "single class": (scan.normal(size=269) * 100, np.ones(269, dtype=np.int64)),
+        "singular": drawn(2, 1e160),
+    }
+    scores, labels = (np.stack(column) for column in zip(*rows.values()))
+    outcomes = []
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", CalibrationWarning)
+        for max_iter in (100, 10):
+            stacked = calibrators._fit_platt_stack(scores, labels, 1e-6, 1e-8, max_iter, True)
+            for fit, (name, (s, y)) in zip(stacked, rows.items()):
+                try:
+                    alone = fit_platt(ScoreSet(s, y), max_iter=max_iter, smooth_targets=True)
+                except NotConvergedError as exc:
+                    alone = exc
+                assert _platt_outcome(fit) == _platt_outcome(alone), (name, max_iter)
+                if isinstance(fit, Exception):
+                    outcomes.append("max_iter" if "iterations" in str(fit) else "line search")
+                else:
+                    outcomes.append("tol" if fit.final_gradient_norm <= 1e-8 else "fixed point")
+    assert outcomes == ["tol", "fixed point", "max_iter", "line search"] + [
+        "tol", "max_iter", "max_iter", "line search"
+    ]
+
+
 def test_platt_smoothed_targets_pull_predictions_inward():
     rng = np.random.default_rng(4)
     s = rng.uniform(0, 1, size=300)

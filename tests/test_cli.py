@@ -4,15 +4,21 @@ through ``main(argv)``, plus the exit-code contract and output formats."""
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from calibench import cli
-from calibench.calibrators import ScoreSet
-from calibench.datasets import SyntheticConfig, load_csv, save_score_csv
-from calibench.errors import NotConvergedError
+from calibench import calibrators, cli, harness
+from calibench._util import mix_seed
+from calibench.calibrators import ScoreSet, fit_platt
+from calibench.datasets import (
+    SyntheticConfig, generate_synthetic, load_csv, make_fold_plan, save_score_csv,
+    stratified_split, subset,
+)
+from calibench.errors import CalibrationWarning, NotConvergedError
 from calibench.harness import ExperimentConfig, LogregSpec, run_repeated_cv, save_results
+from calibench.models import fit_logistic, score_dataset
 
 
 def run_cli(*argv):
@@ -352,6 +358,78 @@ def test_benchmark_reports_errors_in_the_order_of_the_cells(tmp_path, capsys, fi
     out = tmp_path / "results.json"
     assert run_cli("benchmark", "--config", str(config_path), "--out", str(out)) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_logistic_run_reports_the_platt_error_of_its_first_failing_cell(
+    tmp_path, capsys, monkeypatch
+):
+    # at max_iter 5 the Platt fits of cells 1, 2 and 4-8 of this run fail in
+    # the stacked fit, and cell 0's does not; the run reports the error that
+    # cell 1's own one-row fit raises, as a per-cell run would
+    data = generate_synthetic(SyntheticConfig(120, 4, 3))
+    messages = []
+    for cell in make_fold_plan(data, 3, 3, 0).assignments:
+        run_seed = mix_seed(0, cell.repeat_index, cell.fold_index)
+        train = subset(data, cell.train_indices)
+        fit_part, cal_part = stratified_split(train, 0.75, seed=mix_seed(run_seed, 1))
+        try:
+            cal = score_dataset(fit_logistic(fit_part), cal_part)
+            fit_platt(cal, max_iter=5, smooth_targets=True)
+            messages.append(None)
+        except NotConvergedError as exc:
+            messages.append(str(exc))
+    assert messages[0] is None and None not in messages[1:3] and messages[1] != messages[2]
+    stack_rows = []
+
+    def stacked(scores, labels):
+        stack_rows.append(len(scores))
+        return calibrators._fit_platt_stack(scores, labels, max_iter=5)
+
+    monkeypatch.setattr(harness, "_fit_platt_stack", stacked)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "source": {"synthetic": {"n": 120, "d": 4, "seed": 3}},
+        "model": {"logreg": {}},
+        "folds": 3,
+        "repeats": 3,
+    }))
+    out = tmp_path / "results.json"
+    assert run_cli("benchmark", "--config", str(config_path), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"numerical failure: {messages[1]}\n"
+    assert not out.exists()
+    assert max(stack_rows) > 1 and sum(stack_rows) == 9
+
+
+def test_a_score_file_run_warns_of_a_single_class_set_at_its_cells_turn(tmp_path, capsys):
+    # entries 0 and 2 calibrate on a single-class set that fits; entry 1 on
+    # the all-ones set of seed 20 in the single-class scan, whose fit runs to
+    # max_iter.  Entries 0 and 1 warn, and the run stops at entry 1's error.
+    scan = np.random.default_rng(20)
+    n = scan.integers(5, 301)  # 269
+    save_score_csv(ScoreSet([0.2, 0.6, 0.9], [1, 1, 1]), str(tmp_path / "fits.csv"))
+    save_score_csv(ScoreSet(scan.normal(size=n) * 100, np.ones(n)), str(tmp_path / "stalls.csv"))
+    write_score_file(tmp_path / "test.csv", seed=1)
+    entries = [
+        {"cal": str(tmp_path / name), "test": str(tmp_path / "test.csv")}
+        for name in ("fits.csv", "stalls.csv", "fits.csv")
+    ]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "source": {"scores": {"entries": entries}},
+        "model": {"external": {}},
+        "methods": ["uncalibrated", "platt"],
+        "folds": 3,
+        "repeats": 1,
+    }))
+    out = tmp_path / "results.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("benchmark", "--config", str(config_path), "--out", str(out)) == 3
+    assert [w.category for w in caught] == [CalibrationWarning, CalibrationWarning]
+    assert capsys.readouterr().err == (
+        "numerical failure: Platt fit: gradient norm 2.029e-07 > tol 1.0e-08 after 100 iterations\n"
+    )
     assert not out.exists()
 
 

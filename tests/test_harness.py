@@ -16,15 +16,21 @@ import numpy as np
 import pytest
 
 from calibench import cli, harness, metrics
-from calibench.calibrators import ScoreSet, apply_map
+from calibench._util import mix_seed, to_json
+from calibench.calibrators import ScoreSet, apply_map, fit_calibrated_pipeline
 from calibench.datasets import (
     Dataset,
     Provenance,
     SyntheticConfig,
     generate_synthetic,
     load_score_csv,
+    make_fold_plan,
     save_score_csv,
+    stratified_split,
+    subset,
 )
+from calibench.metrics import metric_report
+from calibench.models import fit_logistic, score_dataset
 from calibench.errors import (
     IncompleteRecordsError,
     InvalidSpecError,
@@ -921,6 +927,44 @@ def test_scoring_the_readme_logreg_rows_in_blocks_keeps_a_small_memory_peak(monk
         for q in queues
     )
     assert peak <= 0.3e6, peak
+
+
+def test_a_large_logistic_run_fits_stacks_of_bounded_size():
+    # tracemalloc peak of a logreg run on synthetic n = 20,000, d = 10, all
+    # features, 5 x 2 CV, on a 2-core x86-64 VM (Python 3.11.7, NumPy
+    # 2.4.6): 9.06e6 bytes fitting one cell at a time through Datasets,
+    # 6.88e6 with the stacks capped at _STACK_VALUES (one cell each here),
+    # 2.32e7 with every cell in one stack.  The bound is the first figure
+    # plus 1 MB.
+    config = ExperimentConfig(
+        source=SyntheticConfig(20_000, 10, 0), model=LogregSpec(C=1.0), folds=5, repeats=2
+    )
+    peak = _traced_peak(lambda: run_repeated_cv(config))
+    assert peak <= 10.06e6, peak
+
+
+@pytest.mark.parametrize("cap", [1, harness._STACK_VALUES, 1 << 30])
+def test_a_logistic_run_scores_what_fitting_cell_by_cell_scores(monkeypatch, cap):
+    # one cell a stack, the default chunks, and every cell in one stack, over
+    # fit and calibration parts of two lengths each; the reference fits each
+    # cell alone through the public functions
+    monkeypatch.setattr(harness, "_STACK_VALUES", cap)
+    config = small_config(source=SyntheticConfig(n=299, d=4, seed=7), repeats=3)
+    data = generate_synthetic(config.source)
+    expected = {}
+    for cell in make_fold_plan(data, config.folds, config.repeats, config.base_seed).assignments:
+        run_seed = mix_seed(config.base_seed, cell.repeat_index, cell.fold_index)
+        train = subset(data, cell.train_indices)
+        fit_part, cal_part = stratified_split(train, 0.75, seed=mix_seed(run_seed, 1))
+        model = fit_logistic(fit_part, C=config.model.C)
+        test = score_dataset(model, subset(data, cell.test_indices))
+        cal = score_dataset(model, cal_part)
+        for method in config.methods:
+            probs = apply_map(fit_calibrated_pipeline(cal, method), test.scores)
+            report = metric_report(probs, test.labels, bins=config.bins)
+            expected[cell.repeat_index, cell.fold_index, method] = to_json(report)
+    records = run_repeated_cv(config).records
+    assert {(r.repeat, r.fold, r.method_name): to_json(r.metrics) for r in records} == expected
 
 
 def test_results_do_not_depend_on_the_scoring_queue_cap(monkeypatch):

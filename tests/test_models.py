@@ -31,7 +31,7 @@ from calibench import (
 )
 from calibench import errors
 from calibench.errors import DimensionMismatchError, NotConvergedError, SingleClassError
-from calibench.models import _BLOCK_TREES, LogisticModel
+from calibench.models import _BLOCK_TREES, LogisticModel, _fit_logistic_stack
 
 from oracles import slow_forest_tree
 
@@ -451,6 +451,63 @@ def test_fit_logistic_stops_at_a_floating_point_fixed_point():
     model = fit_logistic(data)
     assert model.iterations_used == 6
     assert 1e-8 < model.final_gradient_norm < 1e-6
+
+
+def _logistic_outcome(fit):
+    """A fit's bits in ``float.hex``, or its error's type and message."""
+    if isinstance(fit, Exception):
+        return type(fit), str(fit)
+    return ([w.hex() for w in fit.weights], fit.bias.hex(), fit.iterations_used,
+            fit.final_gradient_norm.hex())
+
+
+def _stop(fit) -> str:
+    if isinstance(fit, Exception):
+        return "max_iter" if "iterations" in str(fit) else "line search"
+    return "tol" if fit.final_gradient_norm <= 1e-8 else "fixed point"
+
+
+def test_each_row_of_a_stacked_logistic_fit_is_its_own_one_row_fit(monkeypatch):
+    # 500 rows x 2 features each.  At max_iter 6, "converged" meets tol in 6
+    # steps, "fixed point" is the data of the fixed-point test above,
+    # "separable" needs 8 steps, and "singular" (one column twice, at a scale
+    # that leaves its ridge below an ulp of its Hessian) takes gradient
+    # steps; at max_iter 100 the singular row's line search fails
+    rng = np.random.default_rng(0)
+    u, col = rng.random((500, 2)), rng.random(500)
+    rows = {
+        "converged": select_features(generate_synthetic(SyntheticConfig(500, 4, 11)), [0, 1]),
+        "fixed point": select_features(generate_synthetic(SyntheticConfig(500, 4, 9)), [0, 1]),
+        "separable": _dataset(u, u[:, 0] > 0.5),
+        "singular": _dataset(np.column_stack([col, col]) * 1e10, col + 0.3 * rng.random(500) > 0.6),
+    }
+    solve, singular = np.linalg.solve, []
+
+    def counted_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(name)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    features = np.stack([data.features for data in rows.values()])
+    labels = np.stack([data.labels for data in rows.values()])
+    stops = []
+    for max_iter in (6, 100):
+        name = "stack"
+        stacked = _fit_logistic_stack(features, labels, 1.0, 1e-8, max_iter)
+        for fit, (name, data) in zip(stacked, rows.items()):
+            try:
+                alone = fit_logistic(data, max_iter=max_iter)
+            except NotConvergedError as exc:
+                alone = exc
+            assert _logistic_outcome(fit) == _logistic_outcome(alone), (name, max_iter)
+            stops.append(_stop(fit))
+    assert stops == ["tol", "fixed point", "max_iter", "max_iter"] + [
+        "tol", "fixed point", "tol", "line search"
+    ]
+    assert set(singular) == {"stack", "singular"}
 
 
 def test_fit_logistic_does_not_stop_where_a_gradient_norm_repeats():
